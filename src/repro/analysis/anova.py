@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 
@@ -79,6 +78,24 @@ def _rss(design: np.ndarray, response: np.ndarray) -> float:
     coef, *_ = np.linalg.lstsq(design, response, rcond=None)
     residuals = response - design @ coef
     return float(residuals @ residuals)
+
+
+def f_sf(f_stat: float, df: int, residual_df: int) -> float:
+    """Pr(F > ``f_stat``) for an F(``df``, ``residual_df``) variable.
+
+    Equal to ``scipy.stats.f.sf`` everywhere, but built on the much
+    lighter ``scipy.special``, imported on first use so that loading
+    the package (every CLI start) does not pay for scipy.  ``fdtrc`` is
+    NaN below the support, where the survival function is 1; a term
+    that explains nothing can come out at F = -0.0... from rounding, so
+    the statistic is clamped to the support first.  An infinite or NaN
+    statistic gives 0.
+    """
+    if not np.isfinite(f_stat):
+        return 0.0
+    from scipy.special import fdtrc
+
+    return float(fdtrc(df, residual_df, max(f_stat, 0.0)))
 
 
 def anova_n_way(
@@ -178,7 +195,7 @@ def anova_n_way(
             continue
         ms = ss / df
         f_stat = ms / mse if mse > 0 else np.inf
-        p = float(stats.f.sf(f_stat, df, residual_df)) if np.isfinite(f_stat) else 0.0
+        p = f_sf(f_stat, df, residual_df)
         effects.append(
             FactorEffect(
                 name=name,

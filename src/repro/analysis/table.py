@@ -108,24 +108,29 @@ class ResultTable:
     def where(self, **match: Any) -> "ResultTable":
         """Rows whose columns equal the given values.
 
-        A value may be a list/tuple/set, meaning "any of these".
+        A value may be a list/tuple/set, meaning "any of these".  A row
+        is kept when ``not (value != wanted)`` (or ``value in wanted``)
+        holds for every column; the filter runs column by column over
+        row indices, without building a dict per row.
         """
-        def keep(row: dict[str, Any]) -> bool:
-            for name, wanted in match.items():
-                value = row[name]
-                if isinstance(wanted, (list, tuple, set, frozenset)):
-                    if value not in wanted:
-                        return False
-                elif value != wanted:
-                    return False
-            return True
-
         if len(self) == 0:
             # An empty table has no schema yet; any filter selects nothing.
             return ResultTable()
-        for name in match:
-            self.column(name)  # raise early on typos
-        return ResultTable.from_rows(row for row in self.rows() if keep(row))
+        tests = [(self.column(name), wanted) for name, wanted in match.items()]
+        kept = range(len(self))
+        for column, wanted in tests:
+            if isinstance(wanted, (list, tuple, set, frozenset)):
+                kept = [i for i in kept if column[i] in wanted]
+            else:
+                kept = [i for i in kept if not column[i] != wanted]
+        if not kept:
+            return ResultTable()
+        out = ResultTable()
+        out._columns = {
+            name: [values[i] for i in kept]
+            for name, values in self._columns.items()
+        }
+        return out
 
     def filter(self, predicate: Callable[[dict[str, Any]], bool]) -> "ResultTable":
         """Rows satisfying an arbitrary predicate."""

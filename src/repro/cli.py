@@ -72,7 +72,7 @@ from repro.chaos import configure_chaos, get_injector
 from repro.core.benchmarks import LoopBenchmark, NullBenchmark
 from repro.core.config import INFRASTRUCTURES, MeasurementConfig, Mode, Pattern
 from repro.core.measurement import run_measurement
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnsupportedPatternError
 from repro.exec import (
     configure_default_cache,
     resolve_batch_size,
@@ -786,17 +786,30 @@ def _cmd_metrics() -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    config = MeasurementConfig(
-        processor=args.processor,
-        infra=args.infra,
-        pattern=_PATTERNS_BY_SHORT[args.pattern],
-        mode=_MODES[args.mode],
-        n_counters=args.counters,
-        tsc=not args.no_tsc,
-        seed=args.seed,
-    )
-    benchmark = LoopBenchmark(args.loop) if args.loop else NullBenchmark()
-    result = run_measurement(config, benchmark)
+    for flag, value, floor in (
+        ("counters", args.counters, 1),
+        ("loop", args.loop, 0),
+        ("seed", args.seed, 0),
+    ):
+        if value < floor:
+            print(f"error: {flag} must be >= {floor}, got {value}",
+                  file=sys.stderr)
+            return 2
+    try:
+        config = MeasurementConfig(
+            processor=args.processor,
+            infra=args.infra,
+            pattern=_PATTERNS_BY_SHORT[args.pattern],
+            mode=_MODES[args.mode],
+            n_counters=args.counters,
+            tsc=not args.no_tsc,
+            seed=args.seed,
+        )
+        benchmark = LoopBenchmark(args.loop) if args.loop else NullBenchmark()
+        result = run_measurement(config, benchmark)
+    except (ConfigurationError, UnsupportedPatternError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         f"{config.infra} on {config.processor}, {config.pattern.value}, "
         f"{config.mode.value}, {config.n_counters} counter(s)"

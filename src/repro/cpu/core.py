@@ -2,9 +2,9 @@
 
 :class:`Core` is the machine's engine room: all simulated code — user
 benchmark, measurement library, kernel handler — retires through
-:meth:`Core.retire`, which charges the PMU according to each counter's
-event and privilege filter, advances the TSC and the cycle clock, and
-gives the interrupt controller a chance to preempt.
+:meth:`Core.retire`, which charges the counters the PMU bound to the
+current privilege level, advances the TSC and the cycle clock, and
+hands control to the interrupt controller when a deadline is due.
 
 Loops execute in closed form, sliced at interrupt deadlines, so a
 billion-iteration benchmark costs O(number of interrupts) host work
@@ -26,7 +26,7 @@ from typing import Iterator, Protocol
 
 import numpy as np
 
-from repro.cpu.events import Event, PrivLevel, cached_event_deltas
+from repro.cpu.events import Event, PrivLevel
 from repro.cpu.frequency import FrequencyPolicy, Governor
 from repro.cpu.models.base import MicroArch
 from repro.cpu.msr import MsrFile
@@ -36,8 +36,18 @@ from repro.isa.block import Block, Chunk, Loop
 from repro.isa.work import WorkVector
 
 
+#: Wall-clock slack under which a deadline counts as "due" (guards
+#: against float rounding when converting cycles to seconds).
+DEADLINE_EPSILON_S = 1e-15
+
+
 class InterruptSource(Protocol):
     """What the core needs from an interrupt controller."""
+
+    #: Wall-clock time of the earliest pending interrupt (``inf`` when
+    #: none can fire).  The core calls :meth:`poll` only once its clock
+    #: is within :data:`DEADLINE_EPSILON_S` of it.
+    next_deadline_s: float
 
     def cycles_until_next(self, core: "Core") -> float | None:
         """Core cycles until the next pending interrupt, or None."""
@@ -54,6 +64,11 @@ class Core:
         rng: seeded randomness for the core's micro-state noise
             (counter skid at interrupt boundaries, loop warm-up).
         governor: cpufreq governor pinning or wandering the clock.
+        timing: the timing model; built from ``uarch`` when omitted.
+        cycle_memos: straight-line cycle costs of ``timing``, keyed by
+            clock ratio and then by work vector.  Boot images share one
+            mapping across every machine they boot; a private one is
+            made when omitted.
     """
 
     def __init__(
@@ -62,6 +77,7 @@ class Core:
         rng: np.random.Generator,
         governor: Governor = Governor.PERFORMANCE,
         timing: TimingModel | None = None,
+        cycle_memos: dict[float, dict[WorkVector, float]] | None = None,
     ) -> None:
         self.uarch = uarch
         self.rng = rng
@@ -93,20 +109,19 @@ class Core:
         #: Optional retirement observer (see :mod:`repro.trace`).
         self.tracer = None
         # -- hot-loop memoization (pure derived values) -------------------
-        # Cycle costs depend only on (work, clock ratio) and loop CPI
-        # only on (body, address, clock ratio); under the paper's pinned
-        # PERFORMANCE governor the ratio never changes, so these memos
-        # turn the per-retirement timing-model walk into a dict hit.
-        # ``_memo_hz`` tracks the clock the memos were computed at; a
-        # governor retune (ondemand) invalidates both.
+        # Cycle costs depend only on (timing, work, clock ratio) and loop
+        # CPI only on (body, address, clock ratio); under the paper's
+        # pinned PERFORMANCE governor the ratio never changes, so these
+        # memos turn the per-retirement timing-model walk into a dict
+        # hit.  ``_memo_hz`` tracks the clock the memos were computed
+        # at; a governor retune (ondemand) switches the cycle memo to
+        # the new ratio's and drops the loop CPIs.
+        self._cycle_memos = cycle_memos if cycle_memos is not None else {}
         self._memo_hz = self.freq.current_hz
-        self._work_cycles_memo: dict[WorkVector, float] = {}
+        self._work_cycles_memo = self._cycle_memos.setdefault(
+            self._memo_hz / uarch.freq_hz, {}
+        )
         self._loop_cpi_memo: dict[tuple[Chunk, int], float] = {}
-        # Preallocated event-delta buffer for retire(); the busy flag
-        # falls back to a fresh dict when an overflow handler re-enters
-        # retire() mid-count (sampling mode).
-        self._delta_scratch: dict[Event, int | float] = {}
-        self._scratch_free = True
         # -- symbolic fast-forward (see repro.cpu.fastforward) ------------
         # The engine replays steady-state loops in compiled closed form;
         # the kernel attaches the process-wide engine at boot.  The plan
@@ -115,9 +130,11 @@ class Core:
         self._ff_plan = None
 
     def _invalidate_timing_memos(self, current_hz: float) -> None:
-        """Drop derived cycle costs after a governor retune."""
+        """Re-key derived cycle costs after a governor retune."""
         self._memo_hz = current_hz
-        self._work_cycles_memo.clear()
+        self._work_cycles_memo = self._cycle_memos.setdefault(
+            current_hz / self.uarch.freq_hz, {}
+        )
         self._loop_cpi_memo.clear()
 
     # -- retirement --------------------------------------------------------
@@ -129,12 +146,12 @@ class Core:
         label: str = "",
     ) -> None:
         """Retire straight-line work in the current privilege mode."""
-        if work.is_zero and not cycles:
+        if work.instructions == 0 and not cycles:
             return
-        current_hz = self.freq.current_hz
-        if current_hz != self._memo_hz:
-            self._invalidate_timing_memos(current_hz)
         if cycles is None:
+            current_hz = self.freq.current_hz
+            if current_hz != self._memo_hz:
+                self._invalidate_timing_memos(current_hz)
             cycles = self._work_cycles_memo.get(work)
             if cycles is None:
                 cycles = self.timing.cycles_for_work(
@@ -145,22 +162,19 @@ class Core:
                 self._work_cycles_memo[work] = cycles
         if self.tracer is not None:
             self.tracer.record(label, self.mode, work, cycles)
-        if self._scratch_free:
-            self._scratch_free = False
-            deltas = self._delta_scratch
-            deltas.clear()
-            deltas.update(cached_event_deltas(work))
-        else:
-            deltas = dict(cached_event_deltas(work))
-        deltas[Event.CYCLES] = cycles
-        deltas[Event.BUS_CYCLES] = cycles * 0.1
-        try:
-            self.pmu.count(deltas, self.mode)
-        finally:
-            if deltas is self._delta_scratch:
-                self._scratch_free = True
-        self._advance(cycles)
-        self._poll_interrupts()
+        self.pmu.charge(work.amounts + (cycles, cycles * 0.1), self.mode)
+        # The charge may have run an overflow handler that retuned the
+        # clock, so the frequency is read only now.
+        self.cycle += cycles
+        self.wall_s += cycles / self.freq.current_hz
+        self.pmu.advance_tsc(cycles)
+        source = self.interrupt_source
+        if (
+            source is not None
+            and source.next_deadline_s <= self.wall_s + DEADLINE_EPSILON_S
+            and not self.interrupts_masked
+        ):
+            source.poll(self)
 
     def execute_chunk(self, chunk: Chunk) -> None:
         """Retire one straight-line chunk."""
@@ -343,13 +357,3 @@ class Core:
         if self.interrupt_source is None or self.interrupts_masked:
             return None
         return self.interrupt_source.cycles_until_next(self)
-
-    def _poll_interrupts(self) -> None:
-        if self.interrupt_source is None or self.interrupts_masked:
-            return
-        self.interrupt_source.poll(self)
-
-    def _advance(self, cycles: float) -> None:
-        self.cycle += cycles
-        self.wall_s += cycles / self.freq.current_hz
-        self.pmu.advance_tsc(cycles)

@@ -50,12 +50,20 @@ class PrivFilter(enum.Flag):
 
     def matches(self, level: PrivLevel) -> bool:
         """True when events at ``level`` should be counted."""
-        if level is PrivLevel.USER:
-            return bool(self & PrivFilter.USR)
-        return bool(self & PrivFilter.OS)
+        # Identity tests against module constants, not Flag arithmetic
+        # or enum attribute lookups: the four members are the only
+        # values, and the PMU asks on every counter programming.
+        if level is _USER:
+            return self is _USR or self is _ALL
+        return self is _OS or self is _ALL
 
 
-#: Events derivable directly from architectural work accounting.
+_USER = PrivLevel.USER
+_USR, _OS, _ALL = PrivFilter.USR, PrivFilter.OS, PrivFilter.ALL
+
+
+#: Events derivable directly from architectural work accounting, in
+#: the order of :attr:`WorkVector.amounts`.
 ARCHITECTURAL_EVENTS = (
     Event.INSTR_RETIRED,
     Event.BRANCHES_RETIRED,
@@ -65,6 +73,14 @@ ARCHITECTURAL_EVENTS = (
     Event.DCACHE_MISSES,
 )
 
+#: The slot table: every event a retirement charges, in the order of
+#: its charge vector ``work.amounts + (cycles, cycles * 0.1)``.  The PMU
+#: binds each live counter to its event's slot when it is programmed.
+#: Events without a slot (branch, L1I and ITLB misses) are not modelled:
+#: no retirement charges them, so counters programmed with them read 0.
+SLOT_EVENTS = ARCHITECTURAL_EVENTS + (Event.CYCLES, Event.BUS_CYCLES)
+EVENT_SLOT = {event: slot for slot, event in enumerate(SLOT_EVENTS)}
+
 
 def events_from_work(work: WorkVector) -> dict[Event, int]:
     """Map retired work onto architectural event increments.
@@ -73,34 +89,4 @@ def events_from_work(work: WorkVector) -> dict[Event, int]:
     derivable from work alone; the core charges those from its timing
     and placement models.
     """
-    return {
-        Event.INSTR_RETIRED: work.instructions,
-        Event.BRANCHES_RETIRED: work.branches,
-        Event.TAKEN_BRANCHES: work.taken_branches,
-        Event.LOADS_RETIRED: work.loads,
-        Event.STORES_RETIRED: work.stores,
-        Event.DCACHE_MISSES: work.dcache_misses,
-    }
-
-
-#: Shared per-work delta dicts.  The simulator retires the same chunk
-#: vocabulary (library wrappers, kernel handlers, loop bodies) millions
-#: of times per sweep; work vectors are immutable, so one mapping per
-#: vector serves the whole process.
-_DELTAS_MEMO: dict[WorkVector, dict[Event, int]] = {}
-_DELTAS_MEMO_BOUND = 8192
-
-
-def cached_event_deltas(work: WorkVector) -> dict[Event, int]:
-    """A shared ``events_from_work`` result for ``work``.
-
-    The returned dict is shared across callers and MUST be treated as
-    read-only; copy it before adding cycle-domain entries.
-    """
-    deltas = _DELTAS_MEMO.get(work)
-    if deltas is None:
-        deltas = events_from_work(work)
-        if len(_DELTAS_MEMO) >= _DELTAS_MEMO_BOUND:
-            _DELTAS_MEMO.clear()
-        _DELTAS_MEMO[work] = deltas
-    return deltas
+    return dict(zip(ARCHITECTURAL_EVENTS, work.amounts))

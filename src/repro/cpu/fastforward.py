@@ -59,7 +59,7 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.cpu.events import Event, PrivFilter, PrivLevel, cached_event_deltas
+from repro.cpu.events import Event, PrivFilter, PrivLevel, events_from_work
 from repro.cpu.frequency import Governor
 from repro.errors import ConfigurationError
 from repro.isa.work import WorkVector
@@ -596,7 +596,7 @@ def _chunk_consts(chunk: "Chunk", core, ratio: float) -> tuple[dict, float]:
     are bitwise what the slow path would compute.
     """
     cycles = core.timing.cycles_for_work(chunk.work, ratio)
-    deltas: dict[Event, float | int] = dict(cached_event_deltas(chunk.work))
+    deltas: dict[Event, float | int] = events_from_work(chunk.work)
     deltas[Event.CYCLES] = cycles
     deltas[Event.BUS_CYCLES] = cycles * 0.1
     return deltas, cycles
@@ -628,7 +628,7 @@ def _compile_template(core, loop, body_address, cpi, ctl, pmu, hz, ratio,
     io_rate = ctl.io_rate_hz
 
     # Slot metadata in PMU scan order (programmable first, then fixed —
-    # the order pmu.count applies them; irrelevant to results, since
+    # the order the PMU binds them; irrelevant to results, since
     # each slot has its own accumulator, but kept for readability).
     spec = []
     sampling = False
@@ -655,7 +655,7 @@ def _compile_template(core, loop, body_address, cpi, ctl, pmu, hz, ratio,
     chunk_consts = [_chunk_consts(chunk, core, ratio) for chunk in chunks]
     tick_cycles = [c for _, c in chunk_consts]
 
-    body_deltas = dict(cached_event_deltas(loop.body.work))
+    body_deltas = events_from_work(loop.body.work)
     header = loop.header
     header_live = not header.work.is_zero
     if header_live:

@@ -11,15 +11,30 @@ line, which the kernel may route to a sampling handler.
 The PMU never knows about software threads — per-thread virtualization
 is the job of the kernel extensions (:mod:`repro.perfctr`,
 :mod:`repro.perfmon`), exactly as in the real stack.
+
+Counters are bound when they are programmed, not when they count: every
+configuration change rebuilds, per privilege level, the tuple of live
+counters and the slot of the charge vector each one counts (see
+:data:`repro.cpu.events.SLOT_EVENTS`).  Charging a retirement is then
+one pass over that tuple, with no privilege test and no event lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.cpu.events import Event, PrivFilter, PrivLevel
+from repro.cpu.events import (
+    EVENT_SLOT,
+    SLOT_EVENTS,
+    Event,
+    PrivFilter,
+    PrivLevel,
+)
 from repro.errors import CounterError
+
+_USER = PrivLevel.USER
+_KERNEL = PrivLevel.KERNEL
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,7 +47,7 @@ class CounterConfig:
     interrupt_on_overflow: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ProgrammableCounter:
     """One programmable counter register."""
 
@@ -40,10 +55,11 @@ class ProgrammableCounter:
     width: int
     config: CounterConfig | None = None
     _value: float = 0.0
+    #: ``1 << width``: the value at which the register wraps.
+    limit: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def limit(self) -> int:
-        return 1 << self.width
+    def __post_init__(self) -> None:
+        self.limit = 1 << self.width
 
     @property
     def live(self) -> bool:
@@ -68,7 +84,7 @@ class ProgrammableCounter:
         return wrapped
 
 
-@dataclass
+@dataclass(slots=True)
 class FixedCounter:
     """A fixed-function counter: the event is hard-wired."""
 
@@ -77,10 +93,10 @@ class FixedCounter:
     width: int
     priv: PrivFilter = PrivFilter.NONE  # NONE = disabled
     _value: float = 0.0
+    limit: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def limit(self) -> int:
-        return 1 << self.width
+    def __post_init__(self) -> None:
+        self.limit = 1 << self.width
 
     @property
     def live(self) -> bool:
@@ -99,6 +115,9 @@ class FixedCounter:
         if wrapped:
             self._value -= self.limit
         return wrapped
+
+
+Counter = ProgrammableCounter | FixedCounter
 
 
 class Pmu:
@@ -135,10 +154,18 @@ class Pmu:
         self._tsc = 0.0
         self.on_overflow = on_overflow
         #: Bumped on every configuration mutation (program/enable/
-        #: disable/restore).  Derived structures — the fast-forward
-        #: engine's compiled plans — key themselves to this epoch so a
-        #: reprogrammed counter invalidates them without any scanning.
+        #: disable/restore).  Derived structures — the counter bindings
+        #: below and the fast-forward engine's compiled plans — key
+        #: themselves to this epoch so a reprogrammed counter
+        #: invalidates them without any scanning.
         self.config_epoch = 0
+        #: Per privilege level, the ``(counter, slot)`` pairs of every
+        #: live counter whose filter admits that level and whose event
+        #: has a slot: programmable counters by index, then fixed ones.
+        self.bound_user: tuple[tuple[Counter, int], ...] = ()
+        self.bound_kernel: tuple[tuple[Counter, int], ...] = ()
+        #: True when a bound counter raises its overflow line.
+        self._overflow_bound = False
 
     # -- configuration ---------------------------------------------------
 
@@ -153,31 +180,31 @@ class Pmu:
     def program(self, index: int, config: CounterConfig) -> None:
         """Program counter ``index`` (models a PERFEVTSEL write)."""
         self._counter(index).config = config
-        self.config_epoch += 1
+        self._rebind()
 
     def configure_fixed(self, index: int, priv: PrivFilter) -> None:
         """Set a fixed counter's privilege filter (NONE disables it)."""
         self._fixed(index).priv = priv
-        self.config_epoch += 1
+        self._rebind()
 
     def enable(self, index: int) -> None:
         counter = self._counter(index)
         if counter.config is None:
             raise CounterError(f"counter {index} enabled before being programmed")
         counter.config = replace(counter.config, enabled=True)
-        self.config_epoch += 1
+        self._rebind()
 
     def disable(self, index: int) -> None:
         counter = self._counter(index)
         if counter.config is not None:
             counter.config = replace(counter.config, enabled=False)
-            self.config_epoch += 1
+            self._rebind()
 
     def disable_all(self) -> None:
         for counter in self.counters:
             if counter.config is not None:
                 counter.config = replace(counter.config, enabled=False)
-        self.config_epoch += 1
+        self._rebind()
 
     # -- access ------------------------------------------------------------
 
@@ -201,32 +228,65 @@ class Pmu:
 
     # -- counting ------------------------------------------------------------
 
-    def count(self, deltas: dict[Event, int | float], level: PrivLevel) -> None:
-        """Charge event increments observed at privilege ``level``.
+    def charge(self, amounts: tuple[float, ...], level: PrivLevel) -> None:
+        """Charge one retirement observed at privilege ``level``.
 
-        Every live counter whose privilege filter matches accumulates
-        its event's increment; overflow lines fire via ``on_overflow``.
+        ``amounts`` is the slot-indexed charge vector,
+        ``work.amounts + (cycles, cycles * 0.1)``.  Every counter bound
+        to ``level`` accumulates its slot's amount; overflow lines fire
+        via ``on_overflow``.
         """
-        for counter in self.counters:
-            config = counter.config
-            if config is None or not config.enabled:
-                continue
-            if not config.priv.matches(level):
-                continue
-            amount = deltas.get(config.event, 0)
+        if self._overflow_bound and self.on_overflow is not None:
+            self._charge_with_overflow(amounts, level)
+            return
+        for counter, slot in (
+            self.bound_user if level is _USER else self.bound_kernel
+        ):
+            amount = amounts[slot]
+            if amount:
+                # counter.add(amount), inlined: this is the per-retirement
+                # loop, and no overflow line can fire on this path.
+                value = counter._value + amount
+                if value >= counter.limit:
+                    value -= counter.limit
+                counter._value = value
+
+    def count(self, deltas: dict[Event, int | float], level: PrivLevel) -> None:
+        """Charge event increments given as a mapping (the skid path).
+
+        Events without a slot are not modelled and charge nothing.
+        """
+        self.charge(tuple(deltas.get(event, 0) for event in SLOT_EVENTS), level)
+
+    def _charge_with_overflow(
+        self, amounts: tuple[float, ...], level: PrivLevel
+    ) -> None:
+        """:meth:`charge` when an overflow handler may run mid-charge.
+
+        A handler may reprogram the PMU, so the scan reads the binding
+        afresh at every counter: a counter after the one that overflowed
+        counts under the configuration the handler left behind, as a
+        sequential scan of the counter registers would.
+        """
+        last = -1
+        while True:
+            bound = self.bound_user if level is _USER else self.bound_kernel
+            pending = [pair for pair in bound if self._rank(pair[0]) > last]
+            if not pending:
+                return
+            counter, slot = pending[0]
+            last = self._rank(counter)
+            amount = amounts[slot]
             if not amount:
                 continue
-            if config.interrupt_on_overflow and self.on_overflow is not None:
+            if (
+                isinstance(counter, ProgrammableCounter)
+                and counter.config.interrupt_on_overflow
+                and self.on_overflow is not None
+            ):
                 self._accumulate_with_overflow(counter, float(amount))
-            elif counter.add(amount) and config.interrupt_on_overflow:
-                if self.on_overflow is not None:  # pragma: no cover
-                    self.on_overflow(counter.index)
-        for fixed in self.fixed:
-            if fixed.priv is PrivFilter.NONE or not fixed.priv.matches(level):
-                continue
-            amount = deltas.get(fixed.event, 0)
-            if amount:
-                fixed.add(amount)
+            else:
+                counter.add(amount)
 
     def _accumulate_with_overflow(
         self, counter: ProgrammableCounter, amount: float
@@ -278,9 +338,40 @@ class Pmu:
         for fixed, (priv, value) in zip(self.fixed, state["fixed"]):
             fixed.priv = priv
             fixed._value = value
-        self.config_epoch += 1
+        self._rebind()
 
     # -- helpers ----------------------------------------------------------
+
+    def _rebind(self) -> None:
+        """Rebuild the per-level counter bindings after a configuration
+        change; every mutation that bumps ``config_epoch`` ends here."""
+        live: list[tuple[Counter, Event, PrivFilter]] = [
+            (c, c.config.event, c.config.priv) for c in self.counters if c.live
+        ]
+        live += [(f, f.event, f.priv) for f in self.fixed if f.live]
+        user: list[tuple[Counter, int]] = []
+        kernel: list[tuple[Counter, int]] = []
+        for counter, event, priv in live:
+            slot = EVENT_SLOT.get(event)
+            if slot is None:
+                continue
+            if priv.matches(_USER):
+                user.append((counter, slot))
+            if priv.matches(_KERNEL):
+                kernel.append((counter, slot))
+        self.bound_user = tuple(user)
+        self.bound_kernel = tuple(kernel)
+        self._overflow_bound = any(
+            c.config.interrupt_on_overflow for c, _, _ in live
+            if isinstance(c, ProgrammableCounter)
+        )
+        self.config_epoch += 1
+
+    def _rank(self, counter: "Counter") -> int:
+        """Position of ``counter`` in binding order."""
+        if isinstance(counter, FixedCounter):
+            return len(self.counters) + counter.index
+        return counter.index
 
     def _counter(self, index: int) -> ProgrammableCounter:
         if not 0 <= index < len(self.counters):

@@ -14,7 +14,7 @@ O(number of interrupts) instead of O(instructions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,6 +34,11 @@ class WorkVector:
             For analytically constructed benchmarks (Korn et al.-style
             array walks) this is part of the ground-truth model; for
             infrastructure code it models cache pollution.
+        amounts: the countable fields, computed once at construction:
+            ``(instructions, branches, taken_branches, loads, stores,
+            dcache_misses)``, the order of
+            ``repro.cpu.events.ARCHITECTURAL_EVENTS``.  Charging a
+            retirement to a counter is then one tuple index.
     """
 
     instructions: int = 0
@@ -43,12 +48,14 @@ class WorkVector:
     stores: int = 0
     serializing: int = 0
     dcache_misses: int = 0
+    amounts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # This runs on every composed vector in the simulator's hottest
         # loops; the one chained comparison keeps the common (valid)
-        # case free of the reflective dataclasses.fields() walk, which
-        # only runs to name the offending field on failure.
+        # case free of the per-field walk, which only runs to name the
+        # offending field on failure.
         if (
             self.instructions < 0
             or self.branches < 0
@@ -58,11 +65,11 @@ class WorkVector:
             or self.serializing < 0
             or self.dcache_misses < 0
         ):
-            for f in fields(self):
-                value = getattr(self, f.name)
+            for name in _FIELDS:
+                value = getattr(self, name)
                 if value < 0:
                     raise ValueError(
-                        f"WorkVector.{f.name} must be >= 0, got {value}"
+                        f"WorkVector.{name} must be >= 0, got {value}"
                     )
         if self.taken_branches > self.branches:
             raise ValueError(
@@ -80,6 +87,29 @@ class WorkVector:
                 "instructions must cover branches and serializing instructions: "
                 f"{self.instructions} < {non_branch}"
             )
+        object.__setattr__(self, "amounts", (
+            self.instructions,
+            self.branches,
+            self.taken_branches,
+            self.loads,
+            self.stores,
+            self.dcache_misses,
+        ))
+        # The same value the generated field-tuple hash would give, so
+        # hashed containers keep their iteration order; vectors are dict
+        # keys on every retirement (the cycle memo), so it is cached.
+        object.__setattr__(self, "_hash", hash((
+            self.instructions,
+            self.branches,
+            self.taken_branches,
+            self.loads,
+            self.stores,
+            self.serializing,
+            self.dcache_misses,
+        )))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __add__(self, other: "WorkVector") -> "WorkVector":
         if not isinstance(other, WorkVector):
@@ -119,25 +149,38 @@ class WorkVector:
     @staticmethod
     def zero() -> "WorkVector":
         """The empty work vector (identity for addition)."""
-        return WorkVector()
+        return _ZERO
 
     @staticmethod
     def single(kind: str = "alu") -> "WorkVector":
         """Work vector for one retired instruction of the given kind.
 
         ``kind`` is one of ``alu``, ``branch``, ``taken_branch``,
-        ``load``, ``store``, ``serializing``.
+        ``load``, ``store``, ``serializing``.  The vectors are shared
+        constants: the syscall and counter-access paths retire them on
+        every call.
         """
-        if kind == "alu":
-            return WorkVector(instructions=1)
-        if kind == "branch":
-            return WorkVector(instructions=1, branches=1)
-        if kind == "taken_branch":
-            return WorkVector(instructions=1, branches=1, taken_branches=1)
-        if kind == "load":
-            return WorkVector(instructions=1, loads=1)
-        if kind == "store":
-            return WorkVector(instructions=1, stores=1)
-        if kind == "serializing":
-            return WorkVector(instructions=1, serializing=1)
-        raise ValueError(f"unknown instruction kind: {kind!r}")
+        try:
+            return _SINGLES[kind]
+        except KeyError:
+            raise ValueError(f"unknown instruction kind: {kind!r}") from None
+
+
+_FIELDS = (
+    "instructions",
+    "branches",
+    "taken_branches",
+    "loads",
+    "stores",
+    "serializing",
+    "dcache_misses",
+)
+_ZERO = WorkVector()
+_SINGLES = {
+    "alu": WorkVector(instructions=1),
+    "branch": WorkVector(instructions=1, branches=1),
+    "taken_branch": WorkVector(instructions=1, branches=1, taken_branches=1),
+    "load": WorkVector(instructions=1, loads=1),
+    "store": WorkVector(instructions=1, stores=1),
+    "serializing": WorkVector(instructions=1, serializing=1),
+}

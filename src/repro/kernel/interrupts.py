@@ -11,10 +11,12 @@ user+kernel counts.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.cpu.core import DEADLINE_EPSILON_S
 from repro.cpu.frequency import Governor
 from repro.kernel.calibration import KernelBuildConfig
 from repro.kernel.kcode import kernel_chunk
@@ -23,10 +25,6 @@ from repro.kernel.snapshot import KernelChunkSet
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.core import Core
     from repro.kernel.scheduler import Scheduler
-
-#: Wall-clock slack under which a deadline counts as "due" (guards
-#: against float rounding when converting cycles to seconds).
-_EPSILON_S = 1e-15
 
 
 class InterruptController:
@@ -43,6 +41,12 @@ class InterruptController:
             (useful for deterministic unit tests).
         chunks: prebuilt handler chunks from a boot snapshot; built
             from ``build`` when omitted.
+
+    ``next_deadline_s`` always holds the earliest of ``next_timer_s``
+    and ``next_io_s`` (``inf`` while the controller is disabled): every
+    assignment to those three attributes, from anywhere, refreshes it.
+    The core compares its clock against it after each retirement and
+    calls :meth:`poll` only when it is due.
     """
 
     def __init__(
@@ -56,14 +60,15 @@ class InterruptController:
         self.build = build
         self.scheduler = scheduler
         self.rng = rng
-        self.enabled = True
+        self._enabled = True
         self.tick_period_s = 1.0 / build.hz
         # Random phase: successive boots see interrupts at different
         # offsets, which is what turns rare interrupt hits into the
         # outliers of the paper's box plots.
-        self.next_timer_s = float(rng.uniform(0, self.tick_period_s))
+        self._next_timer_s = float(rng.uniform(0, self.tick_period_s))
         self.io_rate_hz = build.io_irq_rate_hz if io_interrupts else 0.0
-        self.next_io_s = self._draw_io_arrival(0.0)
+        self._next_io_s = self._draw_io_arrival(0.0)
+        self._refresh_deadline()
         self.ticks_delivered = 0
         self.io_delivered = 0
         if chunks is None:
@@ -74,28 +79,63 @@ class InterruptController:
         self._ext_hook = chunks.ext_tick_hook
         self._governor_body = chunks.governor
 
+    # -- deadline state ------------------------------------------------------
+
+    @property
+    def enabled(self) -> bool:
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        self._enabled = value
+        self._refresh_deadline()
+
+    @property
+    def next_timer_s(self) -> float:
+        return self._next_timer_s
+
+    @next_timer_s.setter
+    def next_timer_s(self, value: float) -> None:
+        self._next_timer_s = value
+        self._refresh_deadline()
+
+    @property
+    def next_io_s(self) -> float | None:
+        return self._next_io_s
+
+    @next_io_s.setter
+    def next_io_s(self, value: float | None) -> None:
+        self._next_io_s = value
+        self._refresh_deadline()
+
+    def _refresh_deadline(self) -> None:
+        timer, io = self._next_timer_s, self._next_io_s
+        if not self._enabled:
+            self.next_deadline_s = math.inf
+        elif io is None or timer <= io:
+            self.next_deadline_s = timer
+        else:
+            self.next_deadline_s = io
+
     # -- InterruptSource protocol -----------------------------------------
 
     def cycles_until_next(self, core: "Core") -> float | None:
         """Core cycles until the earliest pending interrupt."""
-        if not self.enabled:
+        if not self._enabled:
             return None
-        deadline = self._earliest_deadline()
-        if deadline is None:
-            return None
-        return max(0.0, (deadline - core.wall_s) * core.freq.current_hz)
+        return max(
+            0.0, (self.next_deadline_s - core.wall_s) * core.freq.current_hz
+        )
 
     def poll(self, core: "Core") -> None:
         """Deliver every interrupt that is due at the core's clock."""
-        if not self.enabled:
-            return
         # A handler advances the clock, so new deadlines can become due
         # while delivering; bound the loop defensively.
         for _ in range(1_000_000):
-            deadline = self._earliest_deadline()
-            if deadline is None or deadline > core.wall_s + _EPSILON_S:
+            deadline = self.next_deadline_s
+            if deadline > core.wall_s + DEADLINE_EPSILON_S:
                 return
-            if deadline == self.next_timer_s:
+            if deadline == self._next_timer_s:
                 self._deliver_timer(core)
             else:
                 self._deliver_io(core)
@@ -148,12 +188,6 @@ class InterruptController:
             core.execute_chunk(self._irq_exit)
 
     # -- helpers ------------------------------------------------------------
-
-    def _earliest_deadline(self) -> float | None:
-        candidates = [self.next_timer_s]
-        if self.next_io_s is not None:
-            candidates.append(self.next_io_s)
-        return min(candidates)
 
     def _draw_io_arrival(self, now_s: float) -> float | None:
         if self.io_rate_hz <= 0:

@@ -37,6 +37,7 @@ from repro.cpu.models import MicroArch, microarch
 from repro.cpu.timing import TimingModel
 from repro.errors import ConfigurationError
 from repro.isa.block import Chunk
+from repro.isa.work import WorkVector
 from repro.kernel.calibration import KERNEL_BUILDS, KernelBuildConfig, SkidConfig
 from repro.kernel.kcode import kernel_chunk
 
@@ -85,6 +86,12 @@ class BootImage:
     process-pool boundary and live in a bounded store.  The seed-
     dependent half (RNG, interrupt phases, counters, threads) is built
     fresh on every boot from the image.
+
+    The one mutable member is ``cycle_memos``, the straight-line cycle
+    memo of every core booted from the image: ``timing``'s cost of each
+    retired work vector, keyed by clock ratio.  It is a pure cache, so
+    sharing it changes no count, and a template's thousands of boots
+    compute each cost once instead of once per boot.
     """
 
     uarch: MicroArch
@@ -92,6 +99,9 @@ class BootImage:
     timing: TimingModel
     chunks: KernelChunkSet
     skid: SkidConfig
+    cycle_memos: dict[float, dict[WorkVector, float]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @classmethod
     def capture(

@@ -75,7 +75,8 @@ class Machine:
         self.rng = np.random.default_rng(seed)
         self.uarch: MicroArch = image.uarch
         self.core = Core(
-            self.uarch, self.rng, governor=governor, timing=image.timing
+            self.uarch, self.rng, governor=governor, timing=image.timing,
+            cycle_memos=image.cycle_memos,
         )
         if not loop_warmup:
             self.core.loop_warmup_cycles = 0.0

@@ -1,9 +1,15 @@
 """Unit tests for repro.analysis.anova."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import stats
 
-from repro.analysis.anova import anova_n_way
+from repro.analysis.anova import anova_n_way, f_sf
 from repro.errors import ConfigurationError
 
 
@@ -167,3 +173,47 @@ class TestInteractions:
         result = anova_n_way(factors, response, interactions=[("a", "b")])
         total = sum(result.eta_squared(e.name) for e in result.effects)
         assert 0 < total <= 1.0
+
+
+class TestFTest:
+    """The lazily imported F test agrees with ``scipy.stats.f.sf``."""
+
+    @pytest.mark.parametrize("f_stat", [-5.0, -1e-12, -0.0, 0.0, 1e-300])
+    def test_at_and_below_the_support(self, f_stat):
+        assert f_sf(f_stat, 4, 30) == stats.f.sf(f_stat, 4, 30) == 1.0
+
+    def test_matches_scipy_stats_on_random_statistics(self):
+        rng = np.random.default_rng(2009)
+        for _ in range(2000):
+            f_stat = float(rng.choice([-1.0, 1.0]) * rng.exponential(3.0))
+            df = int(rng.integers(1, 20))
+            residual_df = int(rng.integers(1, 20_000))
+            assert f_sf(f_stat, df, residual_df) == float(
+                stats.f.sf(f_stat, df, residual_df)
+            )
+
+    def test_infinite_statistic_is_certain(self):
+        assert f_sf(np.inf, 2, 10) == 0.0
+
+    def test_table_p_values_match_scipy_stats(self):
+        rng = np.random.default_rng(5)
+        factors, response = balanced_design(rng, effect_a=0.3, effect_b=0.0)
+        result = anova_n_way(factors, response, interactions=[("a", "b")])
+        for effect in result.effects:
+            assert effect.p_value == float(
+                stats.f.sf(effect.f_statistic, effect.df, result.residual_df)
+            )
+
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=env,
+        ).stdout
+        assert out.strip() == "[]"

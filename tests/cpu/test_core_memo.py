@@ -1,20 +1,22 @@
 """Hot-loop memoization: determinism under retunes and reentrancy.
 
-The memos in :class:`~repro.cpu.core.Core` (work-cycle costs, loop CPI,
-the scratch delta buffer) are pure caches — they must never change a
-single count, even when the ondemand governor retunes the clock
-mid-loop or an overflow handler re-enters ``retire``.
+The memos behind :meth:`~repro.cpu.core.Core.retire` (work-cycle costs
+shared through the boot image, loop CPI, each work vector's amounts
+tuple) are pure caches — they must never change a single count, even
+when the ondemand governor retunes the clock mid-loop or an overflow
+handler re-enters ``retire``.
 """
 
 import numpy as np
 
 from repro.cpu.core import Core
-from repro.cpu.events import Event, PrivFilter, cached_event_deltas
+from repro.cpu.events import Event, PrivFilter, events_from_work
 from repro.cpu.frequency import Governor
 from repro.cpu.models import microarch
 from repro.cpu.pmu import CounterConfig
 from repro.isa.builder import CodeBuilder
 from repro.isa.work import WorkVector
+from repro.kernel.snapshot import BootImage
 from repro.kernel.system import Machine
 
 
@@ -90,27 +92,63 @@ class TestTimingMemos:
         }
 
 
+class TestSharedCycleMemo:
+    def test_boots_of_one_image_share_the_memo(self):
+        image = BootImage.capture("CD", "perfctr")
+        first = Machine(seed=1, image=image)
+        second = Machine(seed=2, image=image)
+        assert first.core._work_cycles_memo is second.core._work_cycles_memo
+        work = WorkVector(instructions=9, stores=2)
+        first.core.retire(work)
+        assert work in second.core._work_cycles_memo
+
+    def test_memo_is_keyed_by_clock_ratio(self):
+        machine = Machine(seed=0, governor=Governor.ONDEMAND)
+        core = machine.core
+        work = WorkVector(instructions=10, loads=2)
+        core.retire(work)
+        other = next(
+            hz for hz in core.freq.p_states_hz if hz != core.freq.current_hz
+        )
+        core.freq._current_hz = other
+        core.retire(work)
+        memos = machine.image.cycle_memos
+        ratio = other / core.uarch.freq_hz
+        assert core._work_cycles_memo is memos[ratio]
+        assert memos[ratio][work] == core.timing.cycles_for_work(work, ratio)
+
+
 class TestSharedDeltaBuffers:
-    def test_cached_event_deltas_is_shared_and_stable(self):
+    """The per-work data every retirement reads is shared, never written."""
+
+    def test_event_amounts_are_shared_and_stable(self):
         work = WorkVector(instructions=7, branches=1)
-        first = cached_event_deltas(work)
-        second = cached_event_deltas(work)
-        assert first is second
-        assert first[Event.INSTR_RETIRED] == 7
+        assert work.amounts is work.amounts
+        assert work.amounts == (7, 1, 0, 0, 0, 0)
+        assert events_from_work(work)[Event.INSTR_RETIRED] == 7
+        assert WorkVector.single("load") is WorkVector.single("load")
 
     def test_retire_does_not_corrupt_the_shared_mapping(self):
-        core = fresh_core()
+        machine = Machine(seed=0)
+        core = machine.core
+        counting(core, event=Event.CYCLES)
         work = WorkVector(instructions=5)
-        core.retire(work)
-        shared = cached_event_deltas(work)
-        # retire() adds CYCLES/BUS_CYCLES to a copy, never the shared dict.
-        assert Event.CYCLES not in shared
-        assert Event.BUS_CYCLES not in shared
+        alu = WorkVector.single("alu")
+        for _ in range(3):
+            core.retire(work)
+            core.retire(alu)
+        # The charge vector appends cycles to a new tuple; the shared
+        # amounts and the image's cycle memo keep their values.
+        assert work.amounts == (5, 0, 0, 0, 0, 0)
+        assert alu.amounts == (1, 0, 0, 0, 0, 0)
+        ratio = core.freq.current_hz / core.uarch.freq_hz
+        memo = machine.image.cycle_memos[ratio]
+        assert memo[work] == core.timing.cycles_for_work(work, ratio)
+        assert memo[alu] == core.timing.cycles_for_work(alu, ratio)
 
     def test_reentrant_retire_via_overflow_handler(self):
         """A sampling-mode overflow callback re-enters retire() while the
-        outer retire's delta buffer is mid-count; the nested retire must
-        get its own buffer."""
+        outer retire is mid-charge; both charges must land in full."""
         core = fresh_core()
         counting(core, interrupt_on_overflow=True)
         limit = core.pmu.counters[0].limit
@@ -125,29 +163,35 @@ class TestSharedDeltaBuffers:
         core.pmu.on_overflow = handler
         core.retire(WorkVector(instructions=10, loads=2), label="outer")
         assert len(calls) == 1
-        assert core._scratch_free
         # limit-5 start, +10 outer +3 nested, one wrap: 8 remain.
         assert core.pmu.read(0) == 8
-
-
-class TestScratchRelease:
-    def test_scratch_released_after_normal_retire(self):
-        core = fresh_core()
         core.retire(WorkVector(instructions=4))
-        assert core._scratch_free
+        assert core.pmu.read(0) == 12
 
-    def test_scratch_released_after_pmu_error(self):
+
+class TestChargeIsStateless:
+    def test_back_to_back_retires_charge_independently(self):
         core = fresh_core()
+        counting(core)
+        core.retire(WorkVector(instructions=4))
+        core.retire(WorkVector(instructions=6, branches=1))
+        assert core.pmu.read(0) == 10
+
+    def test_retire_recovers_after_pmu_error(self):
+        core = fresh_core()
+        counting(core)
 
         class Boom(Exception):
             pass
 
-        def exploding(deltas, mode):
+        def exploding(amounts, mode):
             raise Boom()
 
-        core.pmu.count = exploding
+        core.pmu.charge = exploding
         try:
             core.retire(WorkVector(instructions=4))
         except Boom:
             pass
-        assert core._scratch_free
+        del core.pmu.charge
+        core.retire(WorkVector(instructions=4))
+        assert core.pmu.read(0) == 4

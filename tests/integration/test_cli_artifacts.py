@@ -1,7 +1,5 @@
 """CLI coverage for extension artifacts and option plumbing."""
 
-import pytest
-
 from repro.cli import main
 
 
@@ -47,6 +45,7 @@ class TestMeasureOptions:
         assert main(["measure", "--processor", "P3", "--infra", "pm"]) == 0
         assert "P3" in capsys.readouterr().out
 
-    def test_measure_rejects_overbudget_counters(self):
-        with pytest.raises(Exception):
-            main(["measure", "--processor", "CD", "--counters", "9"])
+    def test_measure_rejects_overbudget_counters(self, capsys):
+        assert main(["measure", "--processor", "CD", "--counters", "9"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: CD has 2 programmable counters, 9 requested\n"

@@ -338,3 +338,28 @@ class TestLoadtestValidation:
             capsys, ["loadtest", "--host", "127.0.0.1"],
             "error: --host requires --port",
         )
+
+
+class TestMeasureValidation:
+    @pytest.mark.parametrize("flags,message", [
+        (["--counters", "0"], "error: counters must be >= 1, got 0"),
+        (["--counters", "99"],
+         "error: CD has 2 programmable counters, 99 requested"),
+        (["--loop", "-5"], "error: loop must be >= 0, got -5"),
+        (["--infra", "PHpc", "--pattern", "rr"],
+         "error: PHpc does not support read-read"),
+        (["--no-tsc", "--infra", "pm"],
+         "error: tsc=False is a direct-perfctr knob"),
+        (["--seed", "-3"], "error: seed must be >= 0, got -3"),
+    ])
+    def test_bad_measurement_exit_2(self, capsys, flags, message):
+        assert main(["measure", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_good_measurement_still_runs(self, capsys):
+        assert main(["measure", "--loop", "1000", "--seed", "3"]) == 0
+        assert "measured:" in capsys.readouterr().out
