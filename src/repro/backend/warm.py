@@ -99,13 +99,8 @@ def _worker_main(read_fd: int, write_fd: int, close_fds: Sequence[int]) -> None:
             pass
     # Imported here: the fork happens after repro is loaded, and the
     # coordinator-side module must not import the exec layer (cycle).
-    from repro.cpu.fastforward import reset_worker_state
     from repro.exec.plan import MeasurementJob
     from repro.kernel.snapshot import preload_images
-
-    # Forked-in fast-forward models and accounting belong to the
-    # coordinator; this child re-derives its own from scratch.
-    reset_worker_state()
 
     templates: dict[int, tuple[Any, Any]] = {}
     try:
@@ -306,13 +301,17 @@ class WarmBackend(ExecutionBackend):
         proc.start()
         os.close(to_read)
         os.close(from_write)
-        os.set_blocking(to_write, False)
         worker = _Worker(index, proc, to_write, from_read)
         self.stats.workers_spawned += 1
         GLOBAL_STATS.workers_spawned += 1
         if self._template_defs:
+            # Written blocking, so no results are drained (and no other
+            # worker revived) while this one is not yet in _workers.  The
+            # child reads its templates before it writes anything but its
+            # hello, so the wait cannot deadlock.
             self._send(worker, frames.TEMPLATES,
                        pickle.dumps(self._template_defs))
+        os.set_blocking(to_write, False)
         return worker
 
     def _ensure_workers(self) -> None:

@@ -176,21 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "deadline x jobs and re-dispatch its work (REPRO_DEADLINE)",
     )
     reproduce.add_argument(
-        "--fast-forward", default=None, metavar="MODE",
-        help=(
-            "symbolic fast-forward for steady-state loops: auto, on, or "
-            "off (default: REPRO_FF or auto; results are byte-identical "
-            "for any choice)"
-        ),
-    )
-    reproduce.add_argument(
-        "--ff-warmup", type=int, default=None, metavar="K",
-        help=(
-            "loop iterations observed before fast-forward may engage "
-            "(default: REPRO_FF_WARMUP or 64)"
-        ),
-    )
-    reproduce.add_argument(
         "--resume", action="store_true",
         help="journal completed jobs to a crash-safe sidecar and, when "
              "one exists from a killed run, restart from it "
@@ -236,15 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="per-job deadline for the hung-worker watchdog",
-    )
-    trace.add_argument(
-        "--fast-forward", default=None, metavar="MODE",
-        help="symbolic loop fast-forward: auto, on, or off (REPRO_FF)",
-    )
-    trace.add_argument(
-        "--ff-warmup", type=int, default=None, metavar="K",
-        help="iterations observed before fast-forward engages "
-             "(REPRO_FF_WARMUP)",
     )
     trace.add_argument(
         "--json", action="store_true",
@@ -339,15 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="per-job deadline for the hung-worker watchdog "
              "(REPRO_DEADLINE)",
-    )
-    serve.add_argument(
-        "--fast-forward", default=None, metavar="MODE",
-        help="symbolic loop fast-forward: auto, on, or off (REPRO_FF)",
-    )
-    serve.add_argument(
-        "--ff-warmup", type=int, default=None, metavar="K",
-        help="iterations observed before fast-forward engages "
-             "(REPRO_FF_WARMUP)",
     )
 
     submit = sub.add_parser(
@@ -1053,33 +1020,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_fastforward_args(args: argparse.Namespace) -> None:
-    """Install the fast-forward knobs; flags shadow ``REPRO_FF*``.
-
-    With neither flag given this still resolves the shared engine once,
-    so a malformed ``REPRO_FF``/``REPRO_FF_WARMUP`` surfaces here as a
-    structured exit-2 error rather than a traceback mid-run.  With a
-    flag given, the resolved values are stamped back into the
-    environment so spawned worker processes inherit the same engine.
-    """
-    from repro.cpu import fastforward
-
-    mode, warmup = args.fast_forward, args.ff_warmup
-    if mode is None and warmup is None:
-        fastforward.default_engine()
-        return
-    if mode is None:
-        mode = os.environ.get("REPRO_FF") or "auto"
-    mode = fastforward.parse_ff_mode(mode)
-    if warmup is None:
-        raw = os.environ.get("REPRO_FF_WARMUP")
-        warmup = raw if raw else fastforward.DEFAULT_WARMUP
-    warmup = fastforward.parse_ff_warmup(warmup)
-    fastforward.configure_fastforward(mode, warmup)
-    os.environ["REPRO_FF"] = mode
-    os.environ["REPRO_FF_WARMUP"] = str(warmup)
-
-
 def _bench_gate() -> "str | None":
     """The ``REPRO_BENCH_GATE`` policy, or None when malformed."""
     raw = os.environ.get("REPRO_BENCH_GATE")
@@ -1208,7 +1148,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 configure_chaos(args.chaos)  # validates the spec grammar
             else:
                 get_injector()  # ...and surface a bad REPRO_CHAOS
-            _apply_fastforward_args(args)  # ...and a bad REPRO_FF*
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -1246,7 +1185,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 configure_chaos(args.chaos)  # validates the spec grammar
             else:
                 get_injector()  # ...and surface a bad REPRO_CHAOS
-            _apply_fastforward_args(args)  # ...and a bad REPRO_FF*
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

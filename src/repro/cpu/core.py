@@ -31,7 +31,7 @@ from repro.cpu.frequency import FrequencyPolicy, Governor
 from repro.cpu.models.base import MicroArch
 from repro.cpu.msr import MsrFile
 from repro.cpu.timing import TimingModel
-from repro.errors import MachineStateError, PrivilegeError
+from repro.errors import PrivilegeError
 from repro.isa.block import Block, Chunk, Loop
 from repro.isa.work import WorkVector
 
@@ -122,12 +122,6 @@ class Core:
             self._memo_hz / uarch.freq_hz, {}
         )
         self._loop_cpi_memo: dict[tuple[Chunk, int], float] = {}
-        # -- symbolic fast-forward (see repro.cpu.fastforward) ------------
-        # The engine replays steady-state loops in compiled closed form;
-        # the kernel attaches the process-wide engine at boot.  The plan
-        # is the engine's per-core compiled binding for the last loop.
-        self._ff_engine = None
-        self._ff_plan = None
 
     def _invalidate_timing_memos(self, current_hz: float) -> None:
         """Re-key derived cycle costs after a governor retune."""
@@ -200,9 +194,6 @@ class Core:
         mechanism behind the paper's duration-dependent error
         (Section 5).
         """
-        engine = self._ff_engine
-        if engine is not None and engine.execute(self, loop, address):
-            return
         self.execute_chunk(loop.header)
         if loop.trips == 0:
             return
@@ -211,44 +202,7 @@ class Core:
             # First-iteration cache/predictor warm-up: cycles only.
             self.retire(WorkVector.zero(),
                         cycles=float(self.rng.uniform(0, self.loop_warmup_cycles)))
-        self._run_loop_slices(loop, body_address, loop.trips)
-
-    def execute_loop_sweep(self, loop: Loop, address: int,
-                           repeats: int) -> None:
-        """Execute ``loop`` at ``address`` ``repeats`` times, back to back.
-
-        Semantically identical to calling :meth:`execute_loop` in a
-        Python loop — same retirements, same interrupt deliveries, same
-        random draws, bit for bit — but the fast-forward engine (when
-        engaged) replays the whole sweep in one compiled call, so the
-        per-execution interpreter overhead is amortized across the
-        sweep.  This is the primitive that makes billion-iteration
-        steady-state scenarios routine; ``benchmarks/`` measures it.
-        """
-        if repeats < 0:
-            raise MachineStateError(f"repeats must be >= 0, got {repeats}")
-        remaining = repeats
-        engine = self._ff_engine
-        while remaining > 0:
-            done = 0
-            if engine is not None:
-                done = engine.execute_sweep(self, loop, address, remaining)
-            if done == 0:
-                # Ineligible right now (cold model, wrap boundary,
-                # dynamic bail): run one execution slowly, then let the
-                # engine try again for the rest.
-                self.execute_loop(loop, address)
-                done = 1
-            remaining -= done
-
-    def _run_loop_slices(self, loop: Loop, body_address: int,
-                         remaining: int) -> None:
-        """Retire ``remaining`` iterations in interrupt-bounded slices.
-
-        Also the fast-forward engine's bail-out continuation: after an
-        I/O burst aborts a symbolic replay mid-loop, the remaining
-        iterations finish here, through the ordinary slow path.
-        """
+        remaining = loop.trips
         memo_key = (loop.body, body_address)
         while remaining > 0:
             # An interrupt may have retuned the clock (ondemand

@@ -153,12 +153,6 @@ class Pmu:
         ]
         self._tsc = 0.0
         self.on_overflow = on_overflow
-        #: Bumped on every configuration mutation (program/enable/
-        #: disable/restore).  Derived structures — the counter bindings
-        #: below and the fast-forward engine's compiled plans — key
-        #: themselves to this epoch so a reprogrammed counter
-        #: invalidates them without any scanning.
-        self.config_epoch = 0
         #: Per privilege level, the ``(counter, slot)`` pairs of every
         #: live counter whose filter admits that level and whose event
         #: has a slot: programmable counters by index, then fixed ones.
@@ -344,7 +338,8 @@ class Pmu:
 
     def _rebind(self) -> None:
         """Rebuild the per-level counter bindings after a configuration
-        change; every mutation that bumps ``config_epoch`` ends here."""
+        change; every mutation (program, configure_fixed, enable,
+        disable, disable_all, restore) ends here."""
         live: list[tuple[Counter, Event, PrivFilter]] = [
             (c, c.config.event, c.config.priv) for c in self.counters if c.live
         ]
@@ -365,7 +360,6 @@ class Pmu:
             c.config.interrupt_on_overflow for c, _, _ in live
             if isinstance(c, ProgrammableCounter)
         )
-        self.config_epoch += 1
 
     def _rank(self, counter: "Counter") -> int:
         """Position of ``counter`` in binding order."""

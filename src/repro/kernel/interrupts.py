@@ -141,23 +141,6 @@ class InterruptController:
                 self._deliver_io(core)
         raise RuntimeError("interrupt delivery did not converge")
 
-    # -- fast-forward support ------------------------------------------------
-
-    @property
-    def io_armed(self) -> bool:
-        """True when a non-timer interrupt is pending arrival."""
-        return self.next_io_s is not None
-
-    def timer_replay_spec(self) -> tuple[float, float]:
-        """(tick period, next timer deadline) for symbolic replay.
-
-        The fast-forward engine (:mod:`repro.cpu.fastforward`) replays
-        timer deliveries itself, at exactly the cycle :meth:`poll`
-        would, and hands anything aperiodic (I/O arrivals, whose
-        handler sizes are drawn per delivery) back to :meth:`poll`.
-        """
-        return self.tick_period_s, self.next_timer_s
-
     # -- delivery -----------------------------------------------------------
 
     def _deliver_timer(self, core: "Core") -> None:

@@ -75,18 +75,6 @@ class Scheduler:
         """Extensions hook context switches here (save/restore counters)."""
         self.switch_listeners.append(listener)
 
-    def tick_is_closed_form(self) -> bool:
-        """True when :meth:`on_tick` reduces to the quantum counter.
-
-        With fewer than two runnable threads a tick can never context
-        switch, so its only effect is ``_ticks_in_quantum`` arithmetic —
-        the precondition for the fast-forward engine
-        (:mod:`repro.cpu.fastforward`) to replay ticks symbolically.
-        """
-        if len(self.threads) < 2 or self.current is None:
-            return True
-        return len(self._runnable()) < 2
-
     def on_tick(self) -> None:
         """Timer-tick hook: preempt when the quantum expires."""
         self._ticks_in_quantum += 1

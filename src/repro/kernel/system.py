@@ -19,7 +19,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.cpu import fastforward
 from repro.cpu.core import Core
 from repro.cpu.events import PrivLevel
 from repro.cpu.frequency import Governor
@@ -94,10 +93,6 @@ class Machine:
         self.core.skid_probability = skid.probability
         self.core.skid_bias = skid.bias
         self.core.skid_magnitude = skid.magnitude
-        # Attach the process-wide fast-forward engine (None when
-        # REPRO_FF=off); warmed loop models are shared across boots the
-        # same way the snapshot store shares images.
-        self.core._ff_engine = fastforward.default_engine()
         self.extension: Any = self._install_extension()
         self.main_thread: Thread = self.scheduler.spawn("main")
         self._entry_chunk = image.chunks.syscall_entry

@@ -80,22 +80,13 @@ def _check_buckets(buckets: "tuple[float, ...]") -> tuple[float, ...]:
 
 
 class Counter:
-    """A monotonically increasing count.
-
-    Like :class:`Gauge`, a counter can read its value from a callback
-    at render time instead of being pushed — that is how process-wide
-    accounting structs (cache stats, fast-forward stats) are exposed
-    without polling.  The producer guarantees monotonicity.
-    """
+    """A monotonically increasing count."""
 
     kind = "counter"
 
-    def __init__(
-        self, name: str, help: str, fn: Callable[[], float] | None = None
-    ) -> None:
+    def __init__(self, name: str, help: str) -> None:
         self.name = _check_name(name)
         self.help = help
-        self.fn = fn
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -104,8 +95,7 @@ class Counter:
         self.value += amount
 
     def samples(self) -> Iterable[tuple[str, float]]:
-        value = self.value if self.fn is None else float(self.fn())
-        yield self.name, value
+        yield self.name, self.value
 
 
 class Gauge:
@@ -203,19 +193,10 @@ class CounterFamily:
 
     kind = "counter"
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        label: str,
-        fn: Callable[[], "dict[str, float]"] | None = None,
-    ) -> None:
+    def __init__(self, name: str, help: str, label: str) -> None:
         self.name = _check_name(name)
         self.help = help
         self.label = _check_name(label)
-        #: render-time source of {label value -> count}; replaces the
-        #: pushed children entirely when set.
-        self.fn = fn
         self._children: dict[str, Counter] = {}
 
     def labels(self, value: str) -> Counter:
@@ -231,16 +212,6 @@ class CounterFamily:
         self.labels(label_value).inc(amount)
 
     def samples(self) -> Iterable[tuple[str, float]]:
-        if self.fn is not None:
-            values = self.fn()
-            for label_value in sorted(values):
-                escaped = (str(label_value).replace("\\", "\\\\")
-                           .replace('"', '\\"'))
-                yield (
-                    f'{self.name}{{{self.label}="{escaped}"}}',
-                    float(values[label_value]),
-                )
-            return
         for label_value in sorted(self._children):
             escaped = label_value.replace("\\", "\\\\").replace('"', '\\"')
             child = self._children[label_value]
@@ -380,19 +351,11 @@ class MetricsRegistry:
         self._instruments[instrument.name] = instrument
         return instrument
 
-    def counter(
-        self, name: str, help: str, fn: Callable[[], float] | None = None
-    ) -> Counter:
-        return self._register(Counter(name, help, fn))
+    def counter(self, name: str, help: str) -> Counter:
+        return self._register(Counter(name, help))
 
-    def counter_family(
-        self,
-        name: str,
-        help: str,
-        label: str,
-        fn: Callable[[], "dict[str, float]"] | None = None,
-    ) -> CounterFamily:
-        return self._register(CounterFamily(name, help, label, fn))
+    def counter_family(self, name: str, help: str, label: str) -> CounterFamily:
+        return self._register(CounterFamily(name, help, label))
 
     def gauge(
         self, name: str, help: str, fn: Callable[[], float] | None = None
@@ -680,41 +643,6 @@ def build_unified_registry(
         "repro_snapshot_evictions",
         "Boot images dropped by snapshot-store LRU bounds (this process).",
         fn=_snapshot_stat("evictions"),
-    )
-
-    def _ff_stat(name: str) -> Callable[[], float]:
-        def read() -> float:
-            from repro.cpu.fastforward import GLOBAL_STATS
-
-            return float(getattr(GLOBAL_STATS, name))
-        return read
-
-    def _ff_bailouts() -> "dict[str, float]":
-        from repro.cpu.fastforward import GLOBAL_STATS
-
-        return {k: float(v) for k, v in GLOBAL_STATS.bailouts.items()}
-
-    registry.counter(
-        "repro_ff_engagements_total",
-        "Steady-state loop executions replayed by the fast-forward engine.",
-        fn=_ff_stat("engagements"),
-    )
-    registry.counter(
-        "repro_ff_iterations_skipped_total",
-        "Loop iterations fast-forwarded symbolically instead of being "
-        "retired slice by slice.",
-        fn=_ff_stat("iterations_skipped"),
-    )
-    registry.counter(
-        "repro_ff_io_excursions_total",
-        "I/O interrupts handed back to the real controller mid-replay.",
-        fn=_ff_stat("io_excursions"),
-    )
-    registry.counter_family(
-        "repro_ff_bailouts_total",
-        "Fast-forward engagements declined, by reason (label: reason).",
-        label="reason",
-        fn=_ff_bailouts,
     )
 
     def _span_count(key: str) -> Callable[[], float]:

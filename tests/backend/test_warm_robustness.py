@@ -8,13 +8,14 @@ undisturbed run — every job re-executes from its own seed — and the
 """
 
 import os
+import pickle
 import signal
 import threading
 import time
 
 import pytest
 
-from repro.backend import GLOBAL_STATS, make_backend, warm_available
+from repro.backend import GLOBAL_STATS, make_backend, warm, warm_available
 from repro.backend.warm import WarmBackend, WorkerFailure
 from repro.core.config import Mode, Pattern
 from repro.core.sweep import SweepSpec
@@ -73,6 +74,42 @@ class TestWorkerDeath:
         assert results == baseline
         assert backend.stats.worker_restarts >= 1
         assert GLOBAL_STATS.worker_restarts > restarts_before
+
+    def test_revived_worker_gets_templates_larger_than_a_pipe(
+        self, monkeypatch
+    ):
+        # A replacement joins the fleet only after its TEMPLATES frame is
+        # written.  A frame larger than the pipe must still reach it when
+        # the replacement is slow to start reading; the coordinator must
+        # neither take it for dead nor revive other workers meanwhile.
+        jobs = list(SweepSpec(
+            repeats=1, n_counters=(1, 2, 3), io_interrupts=False
+        ).plan())
+        batch = jobs[:8]
+        baseline = [job.execute() for job in batch]
+
+        backend = make_backend("warm", workers=2)
+        try:
+            backend.prepare(jobs)
+            assert len(pickle.dumps(backend._template_defs)) > 1 << 16
+            # The replacement starts reading only once its pipe is full.
+            worker_main = warm._worker_main
+
+            def late_worker_main(*args):
+                time.sleep(0.2)
+                worker_main(*args)
+
+            monkeypatch.setattr(warm, "_worker_main", late_worker_main)
+            # Worker 0 is idle and first in line, so the batch goes to
+            # it and completes only once it has been revived.
+            os.kill(backend.worker_pids[0], signal.SIGKILL)
+            submitted = [backend.submit(batch, list(range(len(batch))))]
+            results = collect_all(backend, submitted)
+        finally:
+            backend.shutdown(grace=2.0)
+
+        assert results == baseline
+        assert backend.stats.worker_restarts >= 1
 
     def test_restart_shows_up_in_the_metrics_registry(self):
         registry = build_unified_registry()

@@ -17,7 +17,6 @@ from typing import Callable
 
 import pytest
 
-from repro.cpu import fastforward
 from repro.cpu.events import SLOT_EVENTS, Event, PrivFilter, PrivLevel
 from repro.cpu.pmu import CounterConfig, Pmu
 from repro.errors import CounterError
@@ -248,9 +247,8 @@ class TestBindingAgainstScan:
 
     def test_bindings_follow_every_configuration_change(self):
         pmu, _ = make_pair()
-        epoch = pmu.config_epoch
         pmu.program(0, CounterConfig(Event.CYCLES, PrivFilter.USR))
-        assert pmu.bound_user == () and pmu.config_epoch > epoch
+        assert pmu.bound_user == ()
         pmu.enable(0)
         assert pmu.bound_user == ((pmu.counters[0], 6),)
         assert pmu.bound_kernel == ()
@@ -273,12 +271,10 @@ def make_loop(trips: int) -> Loop:
     return Loop(body=body, trips=trips, header=header, label="loop")
 
 
-def boot(seed: int, processor: str = "CD", scan: bool = False,
-         engine=None) -> Machine:
+def boot(seed: int, processor: str = "CD", scan: bool = False) -> Machine:
     machine = Machine(processor=processor, kernel="perfctr", seed=seed,
                       quantum_ticks=1)
     core = machine.core
-    core._ff_engine = engine
     if scan:
         core.pmu = ScanPmu(core.pmu.n_programmable,
                            fixed_events=tuple(f.event for f in core.pmu.fixed),
@@ -376,17 +372,12 @@ class EveryRetirePolling:
 
 
 class TestDeadlineWrites:
-    @pytest.mark.parametrize("ff", ["off", "on"])
-    def test_direct_writes_deliver_as_before(self, ff):
+    def test_direct_writes_deliver_as_before(self):
         """Assignments to ``next_io_s``/``next_timer_s`` and ``enabled``
         from outside the controller take effect at the same retirement
-        as when every retirement polled; with fast-forward on, its
-        compiled replay assigns ``next_timer_s`` too."""
+        as when every retirement polled."""
         def run(reference):
-            engine = None
-            if ff == "on" and not reference:
-                engine = fastforward.FastForwardEngine(min_trips=1, warmup=1)
-            machine = boot(11, engine=engine)
+            machine = boot(11)
             core, ctl = machine.core, machine.controller
             core.pmu.program(0, CounterConfig(Event.INSTR_RETIRED,
                                               PrivFilter.ALL, enabled=True))

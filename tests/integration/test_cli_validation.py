@@ -5,6 +5,8 @@ code 2 — never a traceback from deep inside the engine or the service
 stack.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.backend import set_default_backend, set_default_deadline
@@ -12,25 +14,22 @@ from repro.chaos import reset_chaos
 from repro.cli import main
 from repro.exec import set_default_batch, set_default_jobs
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 @pytest.fixture(autouse=True)
 def clean_defaults(monkeypatch):
-    from repro.cpu import fastforward
-
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_BATCH", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_DEADLINE", raising=False)
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
-    monkeypatch.delenv("REPRO_FF", raising=False)
-    monkeypatch.delenv("REPRO_FF_WARMUP", raising=False)
     yield
     set_default_jobs(None)
     set_default_batch(None)
     set_default_backend(None)
     set_default_deadline(None)
     reset_chaos()
-    fastforward.reset_fastforward()
 
 
 def expect_error(capsys, argv, message):
@@ -171,63 +170,26 @@ class TestChaosValidation:
         )
 
 
-class TestFastForwardValidation:
-    def test_unknown_mode_exit_2(self, capsys):
-        expect_error(
-            capsys, ["reproduce", "figure4", "--fast-forward", "bogus"],
-            "error: fast-forward mode must be one of auto, on, off; "
-            "got 'bogus'",
-        )
+class TestRemovedFastForwardKnobs:
+    """Loops have one execution path; its old knobs are gone."""
 
-    @pytest.mark.parametrize("bad", ["0", "-3"])
-    def test_non_positive_warmup_exit_2(self, capsys, bad):
-        expect_error(
-            capsys, ["reproduce", "figure4", "--ff-warmup", bad],
-            f"error: fast-forward warmup must be an integer >= 1, got {bad}",
-        )
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "figure4", "--fast-forward", "off"],
+        ["trace", "figure4", "--ff-warmup", "8"],
+    ])
+    def test_flags_are_unrecognized(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert "Traceback" not in err
 
-    def test_bad_env_mode_exit_2(self, capsys, monkeypatch):
+    def test_stale_env_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_FF", "warp")
-        # The env default is resolved lazily, but an explicit warmup flag
-        # forces the mode chain to be read — and validated — eagerly.
-        expect_error(
-            capsys, ["reproduce", "figure4", "--ff-warmup", "8"],
-            "error: fast-forward mode must be one of auto, on, off",
-        )
-
-    def test_bad_env_warmup_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_FF_WARMUP", "soon")
-        expect_error(
-            capsys, ["reproduce", "figure4", "--fast-forward", "on"],
-            "error: fast-forward warmup must be an integer >= 1, got 'soon'",
-        )
-
-    def test_explicit_flags_shadow_bad_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_FF", "warp")
-        monkeypatch.setenv("REPRO_FF_WARMUP", "soon")
-        assert main(
-            ["reproduce", "figure4", "--fast-forward", "on",
-             "--ff-warmup", "2"]
-        ) == 0
-        capsys.readouterr()
-
-    def test_trace_validates_fast_forward_too(self, capsys):
-        expect_error(
-            capsys, ["trace", "figure4", "--fast-forward", "bogus"],
-            "error: fast-forward mode must be one of auto, on, off",
-        )
-
-    def test_serve_validates_fast_forward_too(self, capsys):
-        expect_error(
-            capsys, ["serve", "--fast-forward", "bogus"],
-            "error: fast-forward mode must be one of auto, on, off",
-        )
-
-    def test_serve_validates_warmup_too(self, capsys):
-        expect_error(
-            capsys, ["serve", "--ff-warmup", "0"],
-            "error: fast-forward warmup must be an integer >= 1, got 0",
-        )
+        assert main(["reproduce", "figure4"]) == 0
+        golden = (GOLDEN / "figure4.txt").read_text()
+        assert capsys.readouterr().out == golden
 
 
 class TestBenchGateValidation:

@@ -30,16 +30,11 @@ BACKENDS = ["inline", "pool", "warm"]
 
 
 @pytest.fixture(autouse=True)
-def clean_defaults(monkeypatch):
-    from repro.cpu import fastforward
-
-    monkeypatch.delenv("REPRO_FF", raising=False)
-    monkeypatch.delenv("REPRO_FF_WARMUP", raising=False)
+def clean_defaults():
     yield
     set_default_jobs(None)
     set_default_batch(None)
     set_default_backend(None)
-    fastforward.reset_fastforward()
     reset_chaos()
 
 
@@ -69,45 +64,6 @@ class TestGoldenFigure9:
         golden = (GOLDEN / "figure9.txt").read_text()
         out = reproduce(
             capsys, "figure9", "--jobs", "2", "--backend", backend
-        )
-        assert out == golden
-
-
-class TestGoldenFastForward:
-    """The symbolic fast-forward engine must not move a single byte,
-    in any mode, through any backend, even when chaos revives the
-    workers mid-plan."""
-
-    @pytest.mark.parametrize("mode", ["auto", "on", "off"])
-    def test_every_mode_matches_golden(self, capsys, mode):
-        golden = (GOLDEN / "figure9.txt").read_text()
-        out = reproduce(capsys, "figure9", "--fast-forward", mode)
-        assert out == golden
-
-    def test_ff_on_low_warmup_matches_golden(self, capsys):
-        golden = (GOLDEN / "figure9.txt").read_text()
-        out = reproduce(
-            capsys, "figure9", "--fast-forward", "on", "--ff-warmup", "1"
-        )
-        assert out == golden
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_ff_on_through_every_backend(self, capsys, backend):
-        golden = (GOLDEN / "figure4.txt").read_text()
-        out = reproduce(
-            capsys, "figure4", "--jobs", "2", "--backend", backend,
-            "--fast-forward", "on",
-        )
-        assert out == golden
-
-    def test_ff_on_with_worker_kill_chaos(self, capsys):
-        """A revived warm worker re-derives its fast-forward state from
-        its own observations; the output stays golden."""
-        golden = (GOLDEN / "figure9.txt").read_text()
-        out = reproduce(
-            capsys, "figure9", "--jobs", "2", "--backend", "warm",
-            "--fast-forward", "on",
-            "--chaos", "worker-kill:p=0.3,seed=11",
         )
         assert out == golden
 
