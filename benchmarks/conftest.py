@@ -18,36 +18,6 @@ from repro.experiments.base import ExperimentResult
 REPORT_DIR = pathlib.Path(__file__).parent / "reports"
 
 
-def _meta_env_pairs() -> "dict[str, str]":
-    """``REPRO_BENCH_META=key=value,key2=v2`` -> extra_info labels."""
-    out: "dict[str, str]" = {}
-    for pair in os.environ.get("REPRO_BENCH_META", "").split(","):
-        key, sep, value = pair.partition("=")
-        if sep and key.strip():
-            out[key.strip()] = value.strip()
-    return out
-
-
-def pytest_benchmark_update_json(config, benchmarks, output_json):
-    """Stamp run metadata into every benchmark's ``extra_info``.
-
-    pytest-benchmark calls this right before writing
-    ``--benchmark-json`` output, so BENCH_5/6 entries carry the git
-    SHA, hostname and any ``REPRO_BENCH_META`` labels — the same shape
-    ``repro loadtest`` writes — and ``repro bench record`` / ``repro
-    report`` can label history records and report headers.  (The
-    committed pre-stamping BENCH files stay readable: every consumer
-    treats these keys as optional.)
-    """
-    from repro.fleet.loadtest import run_metadata
-
-    metadata = run_metadata(_meta_env_pairs())
-    for bench in output_json.get("benchmarks", []):
-        extra = bench.setdefault("extra_info", {})
-        for key, value in metadata.items():
-            extra.setdefault(key, value)
-
-
 def bench_repeats(default: int) -> int:
     """Per-configuration repetitions, scaled by REPRO_BENCH_REPEATS."""
     scale = int(os.environ.get("REPRO_BENCH_REPEATS", "1"))

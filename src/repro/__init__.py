@@ -62,13 +62,12 @@ __version__ = "1.1.0"
 # Imported after __version__ because cache keys embed the version.
 from repro.exec import (  # noqa: E402
     BenchmarkSpec,
+    Executor,
     ExecutorStats,
     LoopSweepSpec,
     MeasurementJob,
     MeasurementPlan,
-    ParallelExecutor,
     ResultCache,
-    SerialExecutor,
     get_executor,
     set_default_jobs,
 )
@@ -76,6 +75,7 @@ from repro.exec import (  # noqa: E402
 __all__ = [
     "BenchmarkSpec",
     "Event",
+    "Executor",
     "ExecutorStats",
     "LoopBenchmark",
     "LoopSweepSpec",
@@ -87,13 +87,11 @@ __all__ = [
     "Mode",
     "NullBenchmark",
     "OptLevel",
-    "ParallelExecutor",
     "Pattern",
     "PrivFilter",
     "ReproError",
     "ResultCache",
     "ResultTable",
-    "SerialExecutor",
     "StridedLoadBenchmark",
     "SweepSpec",
     "anova_n_way",

@@ -1,11 +1,10 @@
 """repro.backend: pluggable execution backends.
 
-Where batches of measurement jobs run: in-process (``inline``), on a
-per-run process pool (``pool``), or on the persistent warm-worker
-fleet (``warm``).  The executor facades in :mod:`repro.exec.executor`
-and the service scheduler both drive an
+Where batches of measurement jobs run: in-process (``inline``) or on
+the persistent warm-worker fleet (``warm``).  The executor in
+:mod:`repro.exec.executor` and the service scheduler both drive an
 :class:`~repro.backend.base.ExecutionBackend`; which one is resolved
-by :func:`~repro.backend.registry.resolve_backend_name`
+by :func:`~repro.backend.knobs.resolve_backend_name`
 (``--backend`` / ``REPRO_BACKEND``).  See ``docs/backends.md``.
 """
 
@@ -19,23 +18,21 @@ from repro.backend.base import (
 )
 from repro.backend.inline import InlineBackend
 from repro.backend.knobs import (
+    BACKEND_NAMES,
+    resolve_backend_name,
     resolve_batch_cap,
-    resolve_batch_size,
     resolve_deadline,
     resolve_jobs,
     resolve_slow_threshold,
+    set_default_backend,
     set_default_batch,
     set_default_deadline,
     set_default_jobs,
     set_default_slow_threshold,
 )
-from repro.backend.pool import PoolBackend
 from repro.backend.registry import (
-    BACKEND_NAMES,
     get_backend,
     make_backend,
-    resolve_backend_name,
-    set_default_backend,
     shared_backends,
     shutdown_backends,
 )
@@ -50,14 +47,12 @@ __all__ = [
     "ExecutionOutcome",
     "GLOBAL_STATS",
     "InlineBackend",
-    "PoolBackend",
     "WarmBackend",
     "WorkerFailure",
     "get_backend",
     "make_backend",
     "resolve_backend_name",
     "resolve_batch_cap",
-    "resolve_batch_size",
     "resolve_deadline",
     "resolve_jobs",
     "resolve_slow_threshold",

@@ -1,16 +1,15 @@
 """The execution-backend contract: submit batches, collect results.
 
 An :class:`ExecutionBackend` is the seam between *what* to run (the
-executor facades in :mod:`repro.exec.executor` hand it fully seeded
-jobs) and *where* it runs: in-process (``inline``), on a per-run
-process pool (``pool``), or on the persistent warm-worker fleet
-(``warm``).  The interface is four operations — :meth:`~
-ExecutionBackend.submit` a batch, :meth:`~ExecutionBackend.collect` a
-finished one, read :attr:`~ExecutionBackend.stats`, :meth:`~
-ExecutionBackend.shutdown` — plus the shared :meth:`~
-ExecutionBackend.execute` driver that chops a job list into adaptively
-sized batches, keeps every worker fed, and reassembles results in
-submission order.
+executor in :mod:`repro.exec.executor` hands it fully seeded jobs) and
+*where* it runs: in-process (``inline``) or on the persistent
+warm-worker fleet (``warm``).  The interface is four operations —
+:meth:`~ExecutionBackend.submit` a batch,
+:meth:`~ExecutionBackend.collect` a finished one, read
+:attr:`~ExecutionBackend.stats`, :meth:`~ExecutionBackend.shutdown` —
+plus the shared :meth:`~ExecutionBackend.execute` driver that chops a
+job list into adaptively sized batches, keeps every worker fed, and
+reassembles results in submission order.
 
 Backends are interchangeable by contract: every job carries its
 complete seed and boots its own machine, so the backend must never be
@@ -97,7 +96,7 @@ class CompletedBatch:
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
-    """What :meth:`ExecutionBackend.execute` hands the executor facade."""
+    """What :meth:`ExecutionBackend.execute` hands the executor."""
 
     results: list[Any]
     batches: int
@@ -203,7 +202,7 @@ class ExecutionBackend(abc.ABC):
     """Where batches of jobs execute: the submit/collect/stats/shutdown
     contract plus the shared adaptive dispatch driver."""
 
-    #: Registry name ("inline", "pool", "warm").
+    #: Registry name ("inline", "warm").
     name = "?"
 
     def __init__(self, batch_cap: int | None = None) -> None:

@@ -1,112 +1,76 @@
-"""Process-wide execution knobs: worker count and batch-size cap.
+"""Process-wide execution knobs, resolved through one precedence chain.
 
-These are the CLI's ``--jobs`` / ``--batch-size`` (and their
-``REPRO_JOBS`` / ``REPRO_BATCH`` environment twins), resolved through
-the same precedence chain everywhere: explicit argument, process
-default set by the CLI, environment variable, then a built-in fallback.
+These are the CLI's ``--jobs`` / ``--batch-size`` / ``--backend`` /
+``--deadline`` / ``--slow-job-threshold`` and their environment twins
+(``REPRO_JOBS``, ``REPRO_BATCH``, ``REPRO_BACKEND``,
+``REPRO_DEADLINE``, ``REPRO_SLOW_JOB``).  Every one resolves the same
+way: explicit argument, process default set by the CLI, environment
+variable, then a built-in fallback.
 
 They live here — below :mod:`repro.exec` and :mod:`repro.backend.base`
 — because both layers consult them; :mod:`repro.exec.executor`
-re-exports every name for its long-standing import paths.
+re-exports the worker and batch names for their long-standing import
+paths.
 
-Since the backend refactor, the resolved batch size is a **cap** on the
-adaptive batch sizer, not a fixed size: backends start from it (or the
-four-batches-per-worker heuristic when nothing is set) and shrink
-batches when measured per-job cost says a full batch would run past the
-sizer's latency target.  ``resolve_batch_size`` keeps its historical
-name and chain; :func:`resolve_batch_cap` is the same chain without the
-automatic fallback, for callers that need to know whether a cap was
-configured at all.
+The resolved batch size is a **cap** on the adaptive batch sizer, not
+a fixed size: backends start from it (or the four-batches-per-worker
+heuristic when nothing is set) and shrink batches when measured per-job
+cost says a full batch would run past the sizer's latency target.
+:func:`resolve_batch_cap` returns None when no cap is configured.
 """
 
 from __future__ import annotations
 
-import math
 import os
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 
-# -- worker-count resolution ----------------------------------------------
+#: Every registered backend, in documentation order.
+BACKEND_NAMES = ("inline", "warm")
 
 _default_jobs: int | None = None
-
-
-def set_default_jobs(jobs: int | None) -> None:
-    """Set the process-wide worker count (the CLI's ``--jobs``)."""
-    global _default_jobs
-    if jobs is not None and jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    _default_jobs = jobs
-
-
-def resolve_jobs(explicit: int | None = None) -> int:
-    """Worker count: explicit arg > set_default_jobs > $REPRO_JOBS > 1."""
-    for candidate in (explicit, _default_jobs):
-        if candidate is not None:
-            if candidate < 1:
-                raise ConfigurationError(
-                    f"jobs must be >= 1, got {candidate}"
-                )
-            return candidate
-    env = os.environ.get("REPRO_JOBS", "").strip()
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_JOBS must be an integer, got {env!r}"
-            ) from None
-        if jobs < 1:
-            raise ConfigurationError(f"REPRO_JOBS must be >= 1, got {jobs}")
-        return jobs
-    return 1
-
-
-# -- batch-size resolution --------------------------------------------------
-
 _default_batch: int | None = None
-
-
-def set_default_batch(batch: int | None) -> None:
-    """Set the process-wide batch cap (the CLI's ``--batch-size``)."""
-    global _default_batch
-    if batch is not None and batch < 1:
-        raise ConfigurationError(f"batch size must be >= 1, got {batch}")
-    _default_batch = batch
-
-
-def resolve_batch_cap(explicit: int | None = None) -> int | None:
-    """The configured batch cap, or None when nothing was set.
-
-    Chain: explicit > set_default_batch > $REPRO_BATCH.  Unlike
-    :func:`resolve_batch_size` there is no automatic fallback — the
-    adaptive sizer supplies its own size when no cap is configured.
-    """
-    for candidate in (explicit, _default_batch):
-        if candidate is not None:
-            if candidate < 1:
-                raise ConfigurationError(
-                    f"batch size must be >= 1, got {candidate}"
-                )
-            return candidate
-    env = os.environ.get("REPRO_BATCH", "").strip()
-    if env:
-        try:
-            batch = int(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_BATCH must be an integer, got {env!r}"
-            ) from None
-        if batch < 1:
-            raise ConfigurationError(f"REPRO_BATCH must be >= 1, got {batch}")
-        return batch
-    return None
-
-
-# -- watchdog thresholds ----------------------------------------------------
-
+_default_backend: str | None = None
 _default_deadline: float | None = None
 _default_slow_threshold: float | None = None
+
+
+def _chain(
+    explicit: Any,
+    default: Any,
+    what: str,
+    var: str,
+    check: Callable[[Any, str], Any],
+    parse: Callable[[str, str], Any],
+) -> Any:
+    """explicit > process default > ``$var``; None when none is set.
+
+    ``check(value, what)`` validates a value given in code and
+    ``parse(text, var)`` the raw environment text; each resolver
+    supplies its own fallback for None.
+    """
+    for candidate in (explicit, default):
+        if candidate is not None:
+            return check(candidate, what)
+    text = os.environ.get(var, "").strip()
+    return parse(text, var) if text else None
+
+
+def _at_least_one(value: int, what: str) -> int:
+    if value < 1:
+        raise ConfigurationError(f"{what} must be >= 1, got {value}")
+    return value
+
+
+def _parse_count(text: str, var: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigurationError(
+            f"{var} must be an integer, got {text!r}"
+        ) from None
+    return _at_least_one(value, var)
 
 
 def _positive_seconds(value: float | None, what: str) -> float | None:
@@ -115,18 +79,95 @@ def _positive_seconds(value: float | None, what: str) -> float | None:
     return value
 
 
-def _env_seconds(var: str) -> float | None:
-    env = os.environ.get(var, "").strip()
-    if not env:
-        return None
+def _parse_seconds(text: str, var: str) -> float | None:
     try:
-        value = float(env)
+        value = float(text)
     except ValueError:
         raise ConfigurationError(
-            f"{var} must be a number of seconds, got {env!r}"
+            f"{var} must be a number of seconds, got {text!r}"
         ) from None
     return _positive_seconds(value, var)
 
+
+def _known_backend(name: str, what: str = "backend") -> str:
+    name = name.strip().lower()
+    if name not in BACKEND_NAMES:
+        known = ", ".join(BACKEND_NAMES)
+        raise ConfigurationError(
+            f"unknown backend {name!r}; known: {known}"
+        )
+    return name
+
+
+# -- worker count -----------------------------------------------------------
+
+def set_default_jobs(jobs: int | None) -> None:
+    """Set the process-wide worker count (the CLI's ``--jobs``)."""
+    global _default_jobs
+    _default_jobs = None if jobs is None else _at_least_one(jobs, "jobs")
+
+
+def resolve_jobs(explicit: int | None = None) -> int:
+    """Worker count: explicit arg > set_default_jobs > $REPRO_JOBS > 1."""
+    jobs = _chain(
+        explicit, _default_jobs, "jobs", "REPRO_JOBS",
+        _at_least_one, _parse_count,
+    )
+    return 1 if jobs is None else jobs
+
+
+# -- batch cap --------------------------------------------------------------
+
+def set_default_batch(batch: int | None) -> None:
+    """Set the process-wide batch cap (the CLI's ``--batch-size``)."""
+    global _default_batch
+    _default_batch = (
+        None if batch is None else _at_least_one(batch, "batch size")
+    )
+
+
+def resolve_batch_cap(explicit: int | None = None) -> int | None:
+    """The configured batch cap, or None when nothing was set.
+
+    Chain: explicit > set_default_batch > $REPRO_BATCH.  There is no
+    automatic fallback — the adaptive sizer supplies its own size when
+    no cap is configured.
+    """
+    return _chain(
+        explicit, _default_batch, "batch size", "REPRO_BATCH",
+        _at_least_one, _parse_count,
+    )
+
+
+# -- backend name -----------------------------------------------------------
+
+def set_default_backend(name: str | None) -> None:
+    """Set the process-wide backend (the CLI's ``--backend``)."""
+    global _default_backend
+    _default_backend = None if name is None else _known_backend(name)
+
+
+def resolve_backend_name(
+    explicit: str | None = None, jobs: int | None = None
+) -> str:
+    """Backend name: explicit > default > $REPRO_BACKEND > by-jobs.
+
+    With nothing configured, one job slot means ``inline`` and more
+    means ``warm`` (``inline`` where fork is unavailable) — so plain
+    ``--jobs 4`` gets the persistent fleet without further flags.
+    """
+    name = _chain(
+        explicit, _default_backend, "backend", "REPRO_BACKEND",
+        _known_backend, _known_backend,
+    )
+    if name is not None:
+        return name
+    from repro.backend.warm import warm_available
+
+    return "warm" if resolve_jobs(jobs) > 1 and warm_available() else "inline"
+
+
+# -- watchdog thresholds ----------------------------------------------------
 
 def set_default_deadline(seconds: float | None) -> None:
     """Set the process-wide per-job deadline (the CLI's ``--deadline``)."""
@@ -142,10 +183,10 @@ def resolve_deadline(explicit: float | None = None) -> float | None:
     oldest in-flight batch has been running longer than
     ``deadline × batch size`` and re-dispatches its batches.
     """
-    for candidate in (explicit, _default_deadline):
-        if candidate is not None:
-            return _positive_seconds(candidate, "deadline")
-    return _env_seconds("REPRO_DEADLINE")
+    return _chain(
+        explicit, _default_deadline, "deadline", "REPRO_DEADLINE",
+        _positive_seconds, _parse_seconds,
+    )
 
 
 def set_default_slow_threshold(seconds: float | None) -> None:
@@ -162,26 +203,7 @@ def resolve_slow_threshold(explicit: float | None = None) -> float | None:
     ``repro_slow_job_warnings_total``) but never kills anything —
     that's the deadline's job.
     """
-    for candidate in (explicit, _default_slow_threshold):
-        if candidate is not None:
-            return _positive_seconds(candidate, "slow-job threshold")
-    return _env_seconds("REPRO_SLOW_JOB")
-
-
-def resolve_batch_size(
-    explicit: int | None, pending: int, workers: int
-) -> int:
-    """Jobs per dispatch unit: the configured cap, or an automatic size.
-
-    The automatic size aims at about four batches per worker — small
-    enough to keep a pool balanced when job durations vary, large
-    enough to amortise pickling and IPC — and is capped at 64 so one
-    straggler batch can never serialise a big plan.  A configured value
-    (explicit > set_default_batch > $REPRO_BATCH) is the adaptive
-    sizer's *cap*; backends may dispatch smaller batches than this when
-    measured per-job cost calls for it, never larger.
-    """
-    cap = resolve_batch_cap(explicit)
-    if cap is not None:
-        return cap
-    return max(1, min(64, math.ceil(pending / (workers * 4))))
+    return _chain(
+        explicit, _default_slow_threshold, "slow-job threshold",
+        "REPRO_SLOW_JOB", _positive_seconds, _parse_seconds,
+    )

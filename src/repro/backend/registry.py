@@ -1,79 +1,24 @@
-"""Backend registry: names, resolution chain, and shared instances.
-
-``--backend {inline,pool,warm}`` / ``REPRO_BACKEND`` resolve here, by
-the same precedence chain every other execution knob uses: explicit
-argument > process default set by the CLI > environment variable >
-built-in fallback.  The fallback is worker-count aware: a single job
-slot runs inline, more-than-one defaults to the warm backend (or the
-pool backend on platforms without fork).
+"""Backend registry: the shared backend instances.
 
 :func:`get_backend` hands out *shared* instances keyed by
 ``(name, workers)`` — this is what makes the warm backend warm: every
 ``get_executor()`` call, every service-scheduler job, every repeated
 sweep in one process lands on the same persistent worker fleet instead
 of spawning a new one.  An :mod:`atexit` hook shuts the fleet down.
+Which name a run gets (``--backend`` / ``REPRO_BACKEND``) is resolved
+by :func:`repro.backend.knobs.resolve_backend_name`.
 """
 
 from __future__ import annotations
 
 import atexit
-import os
 import threading
 from typing import TYPE_CHECKING
 
-from repro.backend.knobs import resolve_jobs
-from repro.errors import ConfigurationError
+from repro.backend.knobs import resolve_backend_name, resolve_jobs
 
 if TYPE_CHECKING:
     from repro.backend.base import ExecutionBackend
-
-#: Every registered backend, in documentation order.
-BACKEND_NAMES = ("inline", "pool", "warm")
-
-_default_backend: "str | None" = None
-
-
-def _require_known(name: str) -> str:
-    name = name.strip().lower()
-    if name not in BACKEND_NAMES:
-        known = ", ".join(BACKEND_NAMES)
-        raise ConfigurationError(
-            f"unknown backend {name!r}; known: {known}"
-        )
-    return name
-
-
-def set_default_backend(name: "str | None") -> None:
-    """Set the process-wide backend (the CLI's ``--backend``)."""
-    global _default_backend
-    if name is not None:
-        name = _require_known(name)
-    _default_backend = name
-
-
-def resolve_backend_name(
-    explicit: "str | None" = None, jobs: "int | None" = None
-) -> str:
-    """Backend name: explicit > default > $REPRO_BACKEND > by-jobs.
-
-    With nothing configured, one job slot means ``inline`` and more
-    means ``warm`` (``pool`` where fork is unavailable) — so plain
-    ``--jobs 4`` gets the persistent fleet without further flags.
-    """
-    for candidate in (explicit, _default_backend):
-        if candidate is not None:
-            return _require_known(candidate)
-    env = os.environ.get("REPRO_BACKEND", "").strip()
-    if env:
-        return _require_known(env)
-    from repro.backend.warm import warm_available
-
-    if resolve_jobs(jobs) > 1:
-        return "warm" if warm_available() else "pool"
-    return "inline"
-
-
-# -- shared instances -------------------------------------------------------
 
 _shared: "dict[tuple[str, int], ExecutionBackend]" = {}
 #: Guards the check-then-insert on ``_shared``: scheduler threads call
@@ -88,15 +33,10 @@ def make_backend(
     batch_cap: "int | None" = None,
 ) -> "ExecutionBackend":
     """A fresh backend instance (callers own its lifecycle)."""
-    name = _require_known(name)
-    if name == "inline":
+    if resolve_backend_name(name) == "inline":
         from repro.backend.inline import InlineBackend
 
         return InlineBackend(batch_cap=batch_cap)
-    if name == "pool":
-        from repro.backend.pool import PoolBackend
-
-        return PoolBackend(max_workers=workers, batch_cap=batch_cap)
     from repro.backend.warm import WarmBackend
 
     return WarmBackend(max_workers=workers, batch_cap=batch_cap)

@@ -1,10 +1,9 @@
 """The warm backend: a persistent fleet of pre-warmed worker processes.
 
-This is the backend that makes ``--jobs N`` actually win.  The pool
-backend pays three recurring costs that BENCH_5.json showed eating the
-multi-core speedup: process spawn per run, a pickled plan per batch,
-and cold snapshot stores in every worker.  The warm backend removes
-all three:
+This is the backend that makes ``--jobs N`` actually win.  A per-run
+process pool pays three recurring costs that eat the multi-core
+speedup: process spawn per run, a pickled plan per batch, and cold
+snapshot stores in every worker.  The warm backend removes all three:
 
 * **Workers persist.**  N processes are forked once (per backend
   instance) and survive across :meth:`WarmBackend.execute` calls, so a
@@ -247,7 +246,7 @@ class WarmBackend(ExecutionBackend):
         if not warm_available():
             raise ConfigurationError(
                 "the warm backend needs the fork start method "
-                "(unavailable on this platform); use --backend pool"
+                "(unavailable on this platform); use --backend inline"
             )
         workers = resolve_jobs(max_workers)
         if workers <= 1:

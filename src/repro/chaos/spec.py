@@ -68,14 +68,6 @@ FAULT_POINTS: dict[str, str] = {
         "drop the client connection before the response is written "
         "(service server)"
     ),
-    "shard-kill": (
-        "SIGKILL a shard process on a supervisor health tick "
-        "(fleet router; evaluated once per shard per tick)"
-    ),
-    "router-conn-drop": (
-        "drop the router's client connection before the response is "
-        "written (fleet router)"
-    ),
 }
 
 #: Parameter keys every clause accepts (plus point-specific ones below).

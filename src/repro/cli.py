@@ -13,15 +13,11 @@ Usage::
     python -m repro status job-1-abcdef01 / --metrics / --health
     python -m repro trace figure4 --repeats 1 --trace-out trace.json
     python -m repro metrics
-    python -m repro report BENCH_8.json -o report.html
-    python -m repro report base.json new.json --history .repro-bench-history
-    python -m repro bench record BENCH_8.json --meta ci_run=123
-    python -m repro bench diff base.json new.json --history .repro-bench-history
 
 ``reproduce`` accepts ``--jobs N`` to spread measurements over N worker
 processes (results are bit-identical to a serial run), ``--backend``
-to pick where jobs execute (``inline``, ``pool``, or the persistent
-``warm`` worker fleet — the default under ``--jobs > 1``; see
+to pick where jobs execute (``inline`` or the persistent ``warm``
+worker fleet — the default under ``--jobs > 1``; see
 ``docs/backends.md``), ``--batch-size`` to cap how many jobs each
 dispatched batch carries, ``--no-cache`` to bypass the result cache,
 and ``--cache-dir`` to persist results on disk.
@@ -45,12 +41,6 @@ emits the same breakdown machine-readably; ``metrics`` dumps the
 process-wide unified registry; the top-level ``--log-json`` flag
 (or ``REPRO_LOG``) turns on line-delimited JSON logs on stderr —
 stdout stays machine-readable throughout.
-
-Reporting (see ``docs/reports.md``): ``report`` renders one or two
-benchmark result files into a single self-contained HTML file (inline
-CSS/SVG, no network); ``bench record`` appends a run to the perf
-history store; ``bench diff --history`` replaces the global noise
-threshold with per-benchmark variance-derived thresholds.
 """
 
 from __future__ import annotations
@@ -58,7 +48,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -75,7 +64,7 @@ from repro.core.measurement import run_measurement
 from repro.errors import ConfigurationError, UnsupportedPatternError
 from repro.exec import (
     configure_default_cache,
-    resolve_batch_size,
+    resolve_batch_cap,
     resolve_jobs,
     set_default_batch,
     set_default_jobs,
@@ -138,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument(
         "--backend", default=None, metavar="NAME",
         help=(
-            "execution backend: inline, pool, or warm (default: "
+            "execution backend: inline or warm (default: "
             "REPRO_BACKEND, else warm when --jobs > 1; results are "
             "identical for any choice)"
         ),
@@ -199,11 +188,11 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (spans cross the pool boundary)",
+        help="worker processes (spans cross the worker boundary)",
     )
     trace.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="execution backend: inline, pool, or warm",
+        help="execution backend: inline or warm",
     )
     trace.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
@@ -225,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--json", action="store_true",
         help="emit the per-layer breakdown as JSON on stdout (same "
-             "numbers as the table; feeds 'repro report --trace')",
+             "numbers as the table)",
     )
 
     sub.add_parser(
@@ -285,8 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="execution backend for measurement plans: inline, pool, "
-             "or warm (default: REPRO_BACKEND, else by --jobs/REPRO_JOBS)",
+        help="execution backend for measurement plans: inline or warm "
+             "(default: REPRO_BACKEND, else by --jobs/REPRO_JOBS)",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=256, metavar="N",
@@ -365,228 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "default backoff-and-retry",
     )
 
-    fleet = sub.add_parser(
-        "fleet",
-        help="run or inspect a sharded measurement fleet "
-             "(consistent-hash router over N serve processes)",
-    )
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-
-    fleet_serve = fleet_sub.add_parser(
-        "serve",
-        help="run a router plus N shard processes on one address "
-             "(drop-in for 'repro serve'; see docs/fleet.md)",
-    )
-    fleet_serve.add_argument("--host", default="127.0.0.1")
-    fleet_serve.add_argument("--port", type=int, default=7471)
-    fleet_serve.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="shard processes to run (each is an unmodified 'repro serve')",
-    )
-    fleet_serve.add_argument(
-        "--workers", type=int, default=1, metavar="M",
-        help="concurrent job slots per shard",
-    )
-    fleet_serve.add_argument(
-        "--queue-depth", type=int, default=256, metavar="N",
-        help="per-shard queued-job bound",
-    )
-    fleet_serve.add_argument(
-        "--request-timeout", type=float, default=60.0, metavar="SECONDS",
-        help="per-request timeout (router and shards)",
-    )
-    fleet_serve.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="execution backend inside each shard: inline, pool, or warm",
-    )
-    fleet_serve.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="shared on-disk result cache for all shards (default: a "
-             "fresh temp dir for the fleet's lifetime)",
-    )
-    fleet_serve.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write the router's Chrome trace_event JSON on shutdown",
-    )
-    fleet_serve.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="inject deterministic faults; 'shard-kill' and "
-             "'router-conn-drop' fire in the router, the rest are "
-             "forwarded to every shard (see docs/resilience.md)",
-    )
-
-    fleet_status = fleet_sub.add_parser(
-        "status",
-        help="print a running fleet's topology (shards, ring, jobs) "
-             "as JSON",
-    )
-    fleet_status.add_argument("--host", default="127.0.0.1")
-    fleet_status.add_argument("--port", type=int, default=7471)
-
-    fleet_drain = fleet_sub.add_parser(
-        "drain",
-        help="drain one shard (finish its jobs, restart it) with zero "
-             "dropped submissions",
-    )
-    fleet_drain.add_argument("shard", help="shard id from 'fleet status', e.g. s1")
-    fleet_drain.add_argument("--host", default="127.0.0.1")
-    fleet_drain.add_argument("--port", type=int, default=7471)
-    fleet_drain.add_argument(
-        "--timeout", type=float, default=300.0, metavar="SECONDS",
-        help="client-side wait for the drain to complete",
-    )
-
-    loadtest = sub.add_parser(
-        "loadtest",
-        help="measure submit->result latency under concurrent clients "
-             "(single process vs fleet; writes pytest-benchmark JSON)",
-    )
-    loadtest.add_argument(
-        "--topology", default="both", choices=["single", "fleet", "both"],
-        help="what to boot and measure (default: both, for comparison)",
-    )
-    loadtest.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="fleet shards (the single topology gets shards x workers "
-             "workers so capacity matches)",
-    )
-    loadtest.add_argument(
-        "--workers", type=int, default=1, metavar="M",
-        help="job slots per shard",
-    )
-    loadtest.add_argument(
-        "--clients", type=int, default=4, metavar="N",
-        help="concurrent closed-loop client threads",
-    )
-    loadtest.add_argument(
-        "--requests", type=int, default=40, metavar="N",
-        help="total submissions per topology",
-    )
-    loadtest.add_argument(
-        "--distinct", type=int, default=8, metavar="N",
-        help="distinct submission seeds (fewer than --requests means "
-             "repeats, exercising the cache and ring locality)",
-    )
-    loadtest.add_argument(
-        "--loop-iters", type=int, default=2000, metavar="N",
-        help="loop-benchmark iterations per submitted job",
-    )
-    loadtest.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write pytest-benchmark-compatible JSON to PATH "
-             "(e.g. BENCH_8.json)",
-    )
-    loadtest.add_argument(
-        "--host", default=None,
-        help="target an already-running service instead of booting one "
-             "(requires --port; ignores --topology/--shards/--workers)",
-    )
-    loadtest.add_argument("--port", type=int, default=None)
-    loadtest.add_argument(
-        "--meta", action="append", default=None, metavar="KEY=VALUE",
-        help="extra run metadata stamped into every entry's extra_info "
-             "(repeatable; e.g. --meta ci_run=123)",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark result tooling (see 'bench diff', 'bench record')",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_diff = bench_sub.add_parser(
-        "diff",
-        help="compare two pytest-benchmark JSON files; flag regressions "
-             "beyond a noise threshold",
-    )
-    bench_diff.add_argument("baseline", help="baseline result file (A)")
-    bench_diff.add_argument("candidate", help="candidate result file (B)")
-    bench_diff.add_argument(
-        "--metric", default="mean", metavar="NAME",
-        help="stats field to compare (mean, median, min, ops, p99, ...; "
-             "default: mean)",
-    )
-    bench_diff.add_argument(
-        "--threshold", type=float, default=0.10, metavar="FRACTION",
-        help="relative change below which a difference is noise "
-             "(default: 0.10 = 10%%; benchmarks with history use their "
-             "own variance-derived threshold instead)",
-    )
-    _add_history_args(bench_diff)
-
-    bench_record = bench_sub.add_parser(
-        "record",
-        help="append a result file's per-benchmark summaries to the "
-             "perf-history store (JSONL; feeds 'bench diff --history')",
-    )
-    bench_record.add_argument("result", help="pytest-benchmark JSON file")
-    bench_record.add_argument(
-        "--history", default=".repro-bench-history", metavar="DIR",
-        help="history store directory (default: .repro-bench-history)",
-    )
-    bench_record.add_argument(
-        "--meta", action="append", default=None, metavar="KEY=VALUE",
-        help="extra run metadata for the record (repeatable; overrides "
-             "what the result file carries)",
-    )
-
-    report = sub.add_parser(
-        "report",
-        help="render one or two benchmark result files into a single "
-             "self-contained HTML report (see docs/reports.md)",
-    )
-    report.add_argument(
-        "runs", nargs="+", metavar="RESULT",
-        help="one result file, or two for a side-by-side A/B report",
-    )
-    report.add_argument(
-        "-o", "--out", default="report.html", metavar="PATH",
-        help="output HTML file (default: report.html)",
-    )
-    report.add_argument(
-        "--title", default=None, help="report title (default: from files)"
-    )
-    report.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="a 'repro trace --json' payload: adds the per-layer "
-             "self-time panel",
-    )
-    report.add_argument(
-        "--metric", default="mean", metavar="NAME",
-        help="stats field for the A/B delta table (default: mean)",
-    )
-    report.add_argument(
-        "--threshold", type=float, default=0.10, metavar="FRACTION",
-        help="fallback noise threshold for the delta table "
-             "(default: 0.10)",
-    )
-    _add_history_args(report)
     return parser
-
-
-def _add_history_args(parser: argparse.ArgumentParser) -> None:
-    """The perf-history gating knobs, shared by 'bench diff' and 'report'."""
-    from repro.perfdb import DEFAULT_FLOOR, DEFAULT_K, DEFAULT_WINDOW
-
-    parser.add_argument(
-        "--history", default=None, metavar="DIR",
-        help="perf-history store ('repro bench record'): derive "
-             "per-benchmark noise thresholds from recorded variance "
-             "instead of the global --threshold",
-    )
-    parser.add_argument(
-        "--window", type=int, default=DEFAULT_WINDOW, metavar="M",
-        help=f"history runs considered per benchmark "
-             f"(default: {DEFAULT_WINDOW})",
-    )
-    parser.add_argument(
-        "--k", type=float, default=DEFAULT_K, metavar="K",
-        help=f"threshold = max(floor, K x stddev/mean) over the window "
-             f"(default: {DEFAULT_K})",
-    )
-    parser.add_argument(
-        "--floor", type=float, default=DEFAULT_FLOOR, metavar="FRACTION",
-        help=f"minimum per-benchmark threshold (default: {DEFAULT_FLOOR})",
-    )
 
 
 def _cmd_list(as_json: bool = False) -> int:
@@ -893,233 +661,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
         return 1
 
 
-def _cmd_fleet_serve(args: argparse.Namespace) -> int:
-    from repro.fleet import run_fleet
-
-    extra_env = {}
-    if args.chaos is not None:
-        # The router evaluates only its own points (shard-kill,
-        # router-conn-drop); the full spec still ships to every shard
-        # so engine/scheduler points fire there with their own seeded
-        # streams.
-        extra_env["REPRO_CHAOS"] = args.chaos
-    return run_fleet(
-        host=args.host,
-        port=args.port,
-        shards=args.shards,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        request_timeout=args.request_timeout,
-        backend=args.backend,
-        cache_dir=args.cache_dir,
-        trace_out=args.trace_out,
-        extra_env=extra_env or None,
-    )
-
-
-def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
-
-    try:
-        with ServiceClient(args.host, args.port) as client:
-            print(json.dumps(client.fleet_status(), indent=2, sort_keys=True))
-            return 0
-    except ServiceError as exc:
-        if exc.code == "unknown-op":
-            print(
-                f"error: {args.host}:{args.port} is a plain service, not "
-                "a fleet router (start one with 'repro fleet serve')",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(
-            f"error: cannot reach fleet at {args.host}:{args.port} ({exc})",
-            file=sys.stderr,
-        )
-        return 1
-
-
-def _cmd_fleet_drain(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
-
-    try:
-        with ServiceClient(args.host, args.port, timeout=args.timeout) as client:
-            out = client.fleet_drain(args.shard)
-            print(
-                f"drained {out['shard']}: {out['drained_jobs']} job(s) "
-                f"finished, shard restarted"
-            )
-            return 0
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(
-            f"error: cannot reach fleet at {args.host}:{args.port} ({exc})",
-            file=sys.stderr,
-        )
-        return 1
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from repro.fleet.loadtest import (
-        _entry,
-        render_entries,
-        run_loadtest,
-        run_metadata,
-        run_topologies,
-        write_bench_json,
-    )
-    from repro.perfdb import parse_meta_pairs
-
-    try:
-        meta = parse_meta_pairs(args.meta) if args.meta else None
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    load_kwargs = dict(
-        clients=args.clients,
-        requests=args.requests,
-        distinct=args.distinct,
-        loop_iters=args.loop_iters,
-    )
-    try:
-        if args.host is not None:
-            if args.port is None:
-                print("error: --host requires --port", file=sys.stderr)
-                return 2
-            sink: "list[dict]" = []
-            stats = run_loadtest(
-                args.host, args.port, metrics_sink=sink, **load_kwargs
-            )
-            entries = [_entry(
-                "loadtest_external", stats,
-                {"topology": "external",
-                 "target": f"{args.host}:{args.port}"},
-                metadata=run_metadata(meta),
-                metrics=sink[0] if sink else None,
-            )]
-        else:
-            entries = run_topologies(
-                shards=args.shards,
-                workers=args.workers,
-                topology=args.topology,
-                meta=meta,
-                **load_kwargs,
-            )
-    except (RuntimeError, OSError) as exc:
-        print(f"error: loadtest failed: {exc}", file=sys.stderr)
-        return 1
-    print(render_entries(entries))
-    if args.out is not None:
-        path = write_bench_json(args.out, entries)
-        print(f"wrote {path}", file=sys.stderr)
-    return 0
-
-
-def _bench_gate() -> "str | None":
-    """The ``REPRO_BENCH_GATE`` policy, or None when malformed."""
-    raw = os.environ.get("REPRO_BENCH_GATE")
-    gate = (raw or "advisory").strip().lower()
-    if gate not in ("advisory", "hard"):
-        print(
-            f"error: REPRO_BENCH_GATE must be advisory or hard, got {raw!r}",
-            file=sys.stderr,
-        )
-        return None
-    return gate
-
-
-def _cmd_bench_diff(args: argparse.Namespace) -> int:
-    from repro.analysis.benchdiff import diff_files
-
-    gate = _bench_gate()
-    if gate is None:
-        return 2
-    try:
-        code, text = diff_files(
-            args.baseline, args.candidate,
-            metric=args.metric, threshold=args.threshold,
-            history_dir=args.history, window=args.window,
-            k=args.k, floor=args.floor,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(text)
-    if code != 0 and args.history is not None and gate == "advisory":
-        # History-based gating defaults to advisory: report loudly,
-        # fail only when the caller opted into REPRO_BENCH_GATE=hard.
-        print(
-            "advisory: regression beyond the history gate "
-            "(set REPRO_BENCH_GATE=hard to fail the build)",
-            file=sys.stderr,
-        )
-        return 0
-    return code
-
-
-def _cmd_bench_record(args: argparse.Namespace) -> int:
-    from repro.perfdb import parse_meta_pairs, record_run
-
-    try:
-        meta = parse_meta_pairs(args.meta) if args.meta else None
-        run = record_run(args.result, args.history, meta=meta)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"recorded {len(run.benchmarks)} benchmark(s) from {args.result} "
-        f"into {args.history} "
-        f"(sha {str(run.meta.get('git_sha', 'unknown'))[:12]})"
-    )
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs.htmlreport import validate_report_text, write_report
-    from repro.perfdb import history_thresholds, load_history
-
-    if len(args.runs) > 2:
-        print(
-            f"error: a report covers one or two runs, got {len(args.runs)}",
-            file=sys.stderr,
-        )
-        return 2
-    thresholds = None
-    history = None
-    try:
-        if args.history is not None:
-            history = load_history(args.history, window=args.window)
-            thresholds = history_thresholds(
-                history, args.metric, k=args.k, floor=args.floor
-            )
-        out, families = write_report(
-            args.out, args.runs, trace_path=args.trace, title=args.title,
-            metric=args.metric, threshold=args.threshold,
-            thresholds=thresholds, history=history,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # Self-check what we just wrote — a report that fails its own
-    # validator should never reach an artifact store silently.
-    problems = validate_report_text(out.read_text(), expect_svgs=families)
-    if problems:
-        for problem in problems:
-            print(f"error: generated report invalid: {problem}",
-                  file=sys.stderr)
-        return 1
-    print(
-        f"wrote {out} ({families} plot(s), "
-        f"{len(args.runs)} run(s), self-contained)"
-    )
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
@@ -1140,7 +681,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             set_default_jobs(args.jobs)
             resolve_jobs()  # surface a bad REPRO_JOBS before running
             set_default_batch(args.batch_size)
-            resolve_batch_size(None, 1, 1)  # ...and a bad REPRO_BATCH
+            resolve_batch_cap()  # ...and a bad REPRO_BATCH
             set_default_backend(args.backend)
             resolve_backend_name()  # ...and a bad REPRO_BACKEND
             set_default_deadline(args.deadline)
@@ -1188,62 +729,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    if args.command == "fleet" and args.fleet_command == "serve":
-        for flag, value, floor in (
-            ("shards", args.shards, 1),
-            ("workers", args.workers, 1),
-            ("queue-depth", args.queue_depth, 1),
-        ):
-            if value < floor:
-                print(
-                    f"error: {flag} must be >= {floor}, got {value}",
-                    file=sys.stderr,
-                )
-                return 2
-        if args.request_timeout <= 0:
-            print(
-                "error: request-timeout must be > 0, got "
-                f"{args.request_timeout}",
-                file=sys.stderr,
-            )
-            return 2
-        if args.chaos is not None:
-            try:
-                configure_chaos(args.chaos)  # validates the spec grammar
-            except ConfigurationError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-    if args.command == "loadtest":
-        for flag, value, floor in (
-            ("shards", args.shards, 1),
-            ("workers", args.workers, 1),
-            ("clients", args.clients, 1),
-            ("requests", args.requests, 1),
-            ("distinct", args.distinct, 1),
-            ("loop-iters", args.loop_iters, 1),
-        ):
-            if value < floor:
-                print(
-                    f"error: {flag} must be >= {floor}, got {value}",
-                    file=sys.stderr,
-                )
-                return 2
-    if (
-        args.command == "report"
-        or (args.command == "bench" and args.bench_command == "diff")
-    ):
-        if args.threshold < 0:
-            print(
-                f"error: threshold must be >= 0, got {args.threshold}",
-                file=sys.stderr,
-            )
-            return 2
-        if args.window < 2:
-            print(
-                f"error: window must be >= 2, got {args.window}",
-                file=sys.stderr,
-            )
-            return 2
     if args.command == "reproduce":
         if args.no_cache or args.cache_dir:
             configure_default_cache(
@@ -1273,18 +758,4 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_submit(args)
     if args.command == "status":
         return _cmd_status(args)
-    if args.command == "fleet":
-        if args.fleet_command == "serve":
-            return _cmd_fleet_serve(args)
-        if args.fleet_command == "status":
-            return _cmd_fleet_status(args)
-        return _cmd_fleet_drain(args)
-    if args.command == "loadtest":
-        return _cmd_loadtest(args)
-    if args.command == "bench":
-        if args.bench_command == "record":
-            return _cmd_bench_record(args)
-        return _cmd_bench_diff(args)
-    if args.command == "report":
-        return _cmd_report(args)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -7,11 +7,10 @@ carry individually:
   to measure: :class:`BenchmarkSpec`, :class:`MeasurementJob`,
   :class:`MeasurementPlan`, and the builders :func:`sweep_plan` /
   :class:`LoopSweepSpec`;
-* **executor** (:mod:`repro.exec.executor`) — :class:`SerialExecutor`
-  and the process-pool :class:`ParallelExecutor` behind a common
-  :class:`Executor` interface, selected by :func:`get_executor`
-  (``--jobs`` / ``REPRO_JOBS``), with identical results guaranteed by
-  per-job seeding;
+* **executor** (:mod:`repro.exec.executor`) — one :class:`Executor`
+  over an inline or warm-worker backend, selected by
+  :func:`get_executor` (``--jobs`` / ``--backend``), with identical
+  results guaranteed by per-job seeding;
 * **cache** (:mod:`repro.exec.cache`) — a content-addressed
   :class:`ResultCache` (in-memory LRU + optional ``.repro-cache/``
   disk store) keyed on (config, benchmark identity, seed, code
@@ -41,15 +40,11 @@ from repro.exec.journal import (
     set_active_journal,
 )
 from repro.exec.executor import (
-    BackendExecutor,
     Executor,
     ExecutorStats,
     Job,
-    ParallelExecutor,
-    SerialExecutor,
     get_executor,
     resolve_batch_cap,
-    resolve_batch_size,
     resolve_jobs,
     set_default_batch,
     set_default_jobs,
@@ -64,7 +59,6 @@ from repro.exec.plan import (
 )
 
 __all__ = [
-    "BackendExecutor",
     "BenchmarkSpec",
     "CacheStats",
     "Executor",
@@ -74,9 +68,7 @@ __all__ = [
     "LoopSweepSpec",
     "MeasurementJob",
     "MeasurementPlan",
-    "ParallelExecutor",
     "ResultCache",
-    "SerialExecutor",
     "SweepJournal",
     "active_journal",
     "code_version",
@@ -85,7 +77,6 @@ __all__ = [
     "get_executor",
     "journal_path",
     "resolve_batch_cap",
-    "resolve_batch_size",
     "resolve_jobs",
     "set_active_journal",
     "set_default_batch",

@@ -1,18 +1,12 @@
-"""The executor layer: thin facades over pluggable execution backends.
+"""The executor layer: one facade over the pluggable execution backends.
 
 An :class:`Executor` takes jobs (usually a whole
 :class:`~repro.exec.plan.MeasurementPlan`), consults the shared
 :mod:`result cache <repro.exec.cache>`, hands everything uncached to an
 :class:`~repro.backend.base.ExecutionBackend`, and returns results in
-plan order.  The facades:
-
-* :class:`BackendExecutor` — the cache/tabulation engine over any
-  backend instance;
-* :class:`SerialExecutor` — ``BackendExecutor`` over the ``inline``
-  backend (one process, jobs in order);
-* :class:`ParallelExecutor` — ``BackendExecutor`` over the ``pool``
-  backend (a per-run ``ProcessPoolExecutor`` fan-out, kept for
-  comparison against the warm backend).
+plan order.  The executor owns *what* runs (cache partition, plan
+order, stats); the backend owns *where* (in this process, or on the
+persistent warm-worker fleet).
 
 :func:`get_executor` resolves which backend the current settings call
 for — ``--backend`` / ``REPRO_BACKEND``, defaulting to the persistent
@@ -20,37 +14,35 @@ for — ``--backend`` / ``REPRO_BACKEND``, defaulting to the persistent
 **deterministic and interchangeable**: every job carries its complete
 seed (derived per configuration by ``config_seed``), each measurement
 boots its own machine, and results are reassembled in plan order — so
-inline, pool, warm, cached, and uncached runs produce byte-identical
+inline, warm, cached, and uncached runs produce byte-identical
 tables.  ``tests/exec/test_executor.py`` and the golden matrix in
 ``tests/integration/test_golden_outputs.py`` prove this.
 
-Worker-count and batch-size knobs live in :mod:`repro.backend.knobs`
+Worker-count and batch-cap knobs live in :mod:`repro.backend.knobs`
 and are re-exported here under their long-standing names; the
 resolution chains are unchanged (explicit argument > CLI default >
-environment variable > fallback).  Since the backend refactor a
-configured ``--batch-size`` is routed through the adaptive batch sizer
-as its cap — see :class:`repro.backend.base.AdaptiveBatchSizer`.
+environment variable > fallback).  A configured ``--batch-size`` is
+the adaptive batch sizer's cap — see
+:class:`repro.backend.base.AdaptiveBatchSizer`.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro import obs
 from repro.analysis.table import ResultTable
-from repro.backend.base import ExecutionBackend, run_batch_jobs, run_job
+from repro.backend.base import ExecutionBackend
 from repro.backend.inline import InlineBackend
 from repro.backend.knobs import (  # noqa: F401  (re-exported API)
+    resolve_backend_name,
     resolve_batch_cap,
-    resolve_batch_size,
     resolve_jobs,
     set_default_batch,
     set_default_jobs,
 )
-from repro.backend.pool import PoolBackend
-from repro.backend.registry import get_backend, resolve_backend_name
+from repro.backend.registry import get_backend
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache, default_cache
 from repro.exec.plan import MeasurementPlan
@@ -70,28 +62,6 @@ class Job(Protocol):
 
     def execute(self) -> Any:  # pragma: no cover - protocol
         ...
-
-
-def _execute_job(job: Job) -> Any:
-    """Module-level worker entry point (picklable by reference)."""
-    return job.execute()
-
-
-#: Backwards-compatible aliases for the pre-backend helper names.
-_run_job = run_job
-
-
-def _run_batch(payload: Any) -> "tuple[list[Any], Any | None, int]":
-    """Pre-backend batch entry point, kept for API compatibility.
-
-    The live path is :func:`repro.backend.base.run_batch_jobs`; this
-    wrapper preserves the historical payload/return shape.
-    """
-    jobs, indices, carrier_data = payload
-    results, wires, snapshot_hits, _ = run_batch_jobs(
-        jobs, indices, carrier_data
-    )
-    return results, wires, snapshot_hits
 
 
 def _token_of(job: Job) -> str | None:
@@ -127,27 +97,29 @@ class ExecutorStats:
 GLOBAL_STATS = ExecutorStats()
 
 
-class Executor(abc.ABC):
-    """Common engine: cache partition, execution, reassembly."""
+class Executor:
+    """Cache partition, execution on a backend, reassembly in plan order.
 
-    def __init__(self, cache: "ResultCache | None | object" = _DEFAULT) -> None:
+    ``backend`` defaults to a fresh in-process ``inline`` backend.  Pass
+    a shared backend (:func:`repro.backend.get_backend`) to reuse a warm
+    fleet across runs, or a fresh instance to own its lifecycle.
+    ``batch_size`` caps the adaptive batch sizer.
+    """
+
+    def __init__(
+        self,
+        backend: ExecutionBackend | None = None,
+        cache: "ResultCache | None | object" = _DEFAULT,
+        batch_size: int | None = None,
+    ) -> None:
+        if batch_size is not None and batch_size < 1:
+            raise ConfigurationError(
+                f"batch size must be >= 1, got {batch_size}"
+            )
+        self.backend = backend if backend is not None else InlineBackend()
         self.cache = default_cache() if cache is _DEFAULT else cache
+        self.batch_size = batch_size
         self.stats = ExecutorStats()
-
-    @abc.abstractmethod
-    def _execute(self, jobs: Sequence[Job], indices: Sequence[int]) -> list[Any]:
-        """Run jobs, returning results in the given order.
-
-        ``indices`` are the jobs' positions in the original mapping,
-        used to label per-job trace spans.
-        """
-
-    def _record_dispatch(self, batches: int, snapshot_hits: int) -> None:
-        """Account one ``_execute``'s dispatch units and snapshot hits."""
-        self.stats.batches += batches
-        self.stats.snapshot_hits += snapshot_hits
-        GLOBAL_STATS.batches += batches
-        GLOBAL_STATS.snapshot_hits += snapshot_hits
 
     def map(
         self,
@@ -192,13 +164,13 @@ class Executor(abc.ABC):
             self.stats.executed += len(pending)
             GLOBAL_STATS.executed += len(pending)
             sp.set(
-                executor=type(self).__name__,
+                backend=self.backend.name,
                 jobs=len(jobs),
                 cache_hits=len(jobs) - len(pending),
                 executed=len(pending),
             )
             if pending:
-                fresh = self._execute([jobs[i] for i in pending], pending)
+                fresh = self._execute([jobs[i] for i in pending], pending, journal)
                 for index, result in zip(pending, fresh):
                     results[index] = result
                     if self.cache is not None and tokens[index] is not None:
@@ -210,42 +182,14 @@ class Executor(abc.ABC):
                 progress(index)
         return results
 
-    def run(
-        self,
-        plan: MeasurementPlan,
-        progress: Callable[[int], None] | None = None,
-    ) -> ResultTable:
-        """Execute a plan and tabulate its rows (in plan order)."""
-        return plan.table(self.map(plan.jobs, progress=progress))
+    def _execute(
+        self, jobs: Sequence[Job], indices: Sequence[int], journal: Any
+    ) -> list[Any]:
+        """Run jobs on the backend, returning results in the given order.
 
-
-class BackendExecutor(Executor):
-    """The cache/tabulation engine over any execution backend.
-
-    The facade owns *what* runs (cache partition, plan order, stats);
-    the backend owns *where* (in-process, pool, warm fleet).  Pass a
-    shared backend (:func:`repro.backend.get_backend`) to reuse a warm
-    fleet across runs, or a fresh instance to own its lifecycle.
-    """
-
-    def __init__(
-        self,
-        backend: ExecutionBackend,
-        cache: "ResultCache | None | object" = _DEFAULT,
-        batch_size: int | None = None,
-    ) -> None:
-        super().__init__(cache)
-        if batch_size is not None and batch_size < 1:
-            raise ConfigurationError(
-                f"batch size must be >= 1, got {batch_size}"
-            )
-        self.backend = backend
-        self.batch_size = batch_size
-
-    def _execute(self, jobs: Sequence[Job], indices: Sequence[int]) -> list[Any]:
-        from repro.exec.journal import active_journal
-
-        journal = active_journal()
+        ``indices`` are the jobs' positions in the original mapping,
+        used to label per-job trace spans.
+        """
         on_batch = None
         if journal is not None:
             # Journal each batch the moment it completes, so a run
@@ -259,46 +203,19 @@ class BackendExecutor(Executor):
         outcome = self.backend.execute(
             jobs, list(indices), batch_cap=self.batch_size, on_batch=on_batch
         )
-        self._record_dispatch(outcome.batches, outcome.snapshot_hits)
+        self.stats.batches += outcome.batches
+        self.stats.snapshot_hits += outcome.snapshot_hits
+        GLOBAL_STATS.batches += outcome.batches
+        GLOBAL_STATS.snapshot_hits += outcome.snapshot_hits
         return outcome.results
 
-
-class SerialExecutor(BackendExecutor):
-    """Runs every job in the coordinating process, in plan order."""
-
-    def __init__(self, cache: "ResultCache | None | object" = _DEFAULT) -> None:
-        super().__init__(InlineBackend(), cache=cache)
-
-
-class ParallelExecutor(BackendExecutor):
-    """Fans batches of jobs out over a per-run process pool.
-
-    Results are identical to :class:`SerialExecutor`'s because every
-    job is fully seeded and boots its own machine; only wall-clock time
-    differs.  Small runs fall back to in-process execution so the
-    pool's startup cost is never paid for a handful of jobs.
-
-    This is the ``pool`` backend behind the original facade — kept, and
-    benchmarked, as the comparison point for the persistent ``warm``
-    backend (which ``get_executor`` now prefers for ``--jobs > 1``).
-    """
-
-    #: Below this many jobs the pool costs more than it saves.
-    MIN_BATCH = PoolBackend.MIN_BATCH
-
-    def __init__(
+    def run(
         self,
-        max_workers: int | None = None,
-        cache: "ResultCache | None | object" = _DEFAULT,
-        chunksize: int | None = None,
-        batch_size: int | None = None,
-    ) -> None:
-        # ``chunksize`` is the pre-batching name for the same knob;
-        # keep accepting it, with ``batch_size`` taking precedence.
-        size = batch_size if batch_size is not None else chunksize
-        backend = PoolBackend(max_workers=max_workers)
-        super().__init__(backend, cache=cache, batch_size=size)
-        self.max_workers = backend.max_workers
+        plan: MeasurementPlan,
+        progress: Callable[[int], None] | None = None,
+    ) -> ResultTable:
+        """Execute a plan and tabulate its rows (in plan order)."""
+        return plan.table(self.map(plan.jobs, progress=progress))
 
 
 def get_executor(
@@ -313,20 +230,10 @@ def get_executor(
     (the CLI's ``--backend``) > ``REPRO_BACKEND`` > by worker count:
     ``jobs == 1`` (the default) runs inline; anything higher lands on
     the persistent warm-worker fleet (shared process-wide, so repeated
-    runs reuse the same workers), or the process pool where fork is
-    unavailable.  ``batch_size`` caps the adaptive batch sizer.
+    runs reuse the same workers), or inline where fork is unavailable.
+    ``batch_size`` caps the adaptive batch sizer.
     """
     n = resolve_jobs(jobs)
     name = resolve_backend_name(backend, n)
-    if name == "inline":
-        executor: Executor = SerialExecutor(cache=cache)
-        if batch_size is not None:
-            executor.batch_size = batch_size  # type: ignore[attr-defined]
-        return executor
-    if name == "pool":
-        return ParallelExecutor(
-            max_workers=n, cache=cache, batch_size=batch_size
-        )
-    return BackendExecutor(
-        get_backend("warm", jobs=n), cache=cache, batch_size=batch_size
-    )
+    shared = get_backend(name, jobs=n) if name != "inline" else None
+    return Executor(shared, cache=cache, batch_size=batch_size)

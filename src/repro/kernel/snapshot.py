@@ -83,7 +83,7 @@ class BootImage:
     """The seed-independent half of a booted machine.
 
     Everything here is immutable and picklable, so images can cross the
-    process-pool boundary and live in a bounded store.  The seed-
+    worker-process boundary and live in a bounded store.  The seed-
     dependent half (RNG, interrupt phases, counters, threads) is built
     fresh on every boot from the image.
 

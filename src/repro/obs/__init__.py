@@ -7,7 +7,7 @@ path through all of them observable, stdlib-only:
 
 * **spans** (:mod:`repro.obs.spans`) — :class:`Span` /
   :class:`TraceContext` with trace/span ids minted at submission and
-  propagated through every layer (including across the process-pool
+  propagated through every layer (including across the worker-process
   boundary via picklable carriers), gathered by a
   :class:`TraceCollector` on a shared :class:`Timebase`;
 * **export** (:mod:`repro.obs.export`) — Chrome ``trace_event`` JSON
@@ -24,11 +24,6 @@ path through all of them observable, stdlib-only:
 * **report** (:mod:`repro.obs.report`) — the per-layer
   time/retirement breakdown behind ``repro trace <artifact>`` (and,
   via ``--json``, its machine-readable twin);
-* **htmlreport** (:mod:`repro.obs.htmlreport`) — ``repro report``:
-  one or two benchmark result files rendered into a single
-  self-contained HTML file (inline CSS/SVG, zero external
-  references), with its own offline validator
-  (``python -m repro.obs.htmlreport report.html bench.json``).
 
 Tracing is strictly an observer: artifact outputs are byte-identical
 with and without a collector active.
@@ -51,8 +46,6 @@ from repro.obs.metrics import (
     build_service_registry,
     build_unified_registry,
     default_registry,
-    parse_prometheus_text,
-    registry_snapshot,
     reset_default_registry,
 )
 from repro.obs.spans import (
@@ -98,8 +91,6 @@ __all__ = [
     "get_logger",
     "new_span_id",
     "new_trace_id",
-    "parse_prometheus_text",
-    "registry_snapshot",
     "reset_default_registry",
     "reset_logging",
     "retirements_enabled",

@@ -302,43 +302,6 @@ def inc_family(name: str, label_value: str, amount: float = 1.0) -> None:
             instrument.inc(label_value, amount)
 
 
-def parse_prometheus_text(text: str) -> dict[str, float]:
-    """Samples of a Prometheus text exposition, keyed by sample name.
-
-    The inverse of :meth:`MetricsRegistry.render` (and of what a
-    service's ``metrics`` request returns): comment/``# TYPE`` lines
-    are skipped and each remaining line becomes one
-    ``name{labels} -> value`` entry — label text (including
-    ``shard="s0"`` from fleet aggregation) stays inside the key, which
-    is how the HTML report finds per-shard breakdowns.  Unparseable
-    lines are ignored: this feeds dashboards, not a validator.
-    """
-    out: dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.rsplit(None, 1)
-        if len(parts) != 2:
-            continue
-        name, raw = parts
-        try:
-            out[name] = float(raw)
-        except ValueError:
-            continue
-    return out
-
-
-def registry_snapshot(registry: "MetricsRegistry") -> dict[str, float]:
-    """Every sample of every instrument, as a plain JSON-safe dict.
-
-    The snapshot the loadtest harness embeds into benchmark result
-    files (and the HTML report renders as hit-rate panels) — fn-gauges
-    are evaluated at snapshot time, exactly as ``render`` would.
-    """
-    return parse_prometheus_text(registry.render())
-
-
 class MetricsRegistry:
     """A named set of instruments with a text exposition."""
 
@@ -441,28 +404,6 @@ def build_unified_registry(
         "repro_client_retries_total",
         "Service-client calls retried after a retryable failure.",
     )
-    registry.counter(
-        "repro_fleet_reroutes_total",
-        "In-flight submissions resubmitted to another shard after their "
-        "owning shard died.",
-    )
-    registry.counter(
-        "repro_fleet_drains_total",
-        "Shard drain cycles completed (stop routing, finish queued "
-        "jobs, restart).",
-    )
-    registry.counter(
-        "repro_fleet_shard_restarts_total",
-        "Shard processes respawned after a crash or drain.",
-    )
-    registry.counter(
-        "repro_router_proxy_errors_total",
-        "Router-to-shard proxy calls that failed after link retries.",
-    )
-    registry.histogram(
-        "repro_router_proxy_seconds",
-        "Router-to-shard proxy round-trip latency.",
-    )
     registry.gauge(
         "repro_queue_depth", "Jobs currently waiting in the queue.",
         fn=queue_depth,
@@ -538,13 +479,13 @@ def build_unified_registry(
     )
     registry.gauge(
         "repro_executor_batches",
-        "Dispatch units (pool tasks or inline runs) executors issued.",
+        "Dispatch units (backend batches) executors issued.",
         fn=_executor_stat("batches"),
     )
     registry.gauge(
         "repro_executor_snapshot_hits",
         "Machine boots answered by a snapshot store during execution, "
-        "including hits inside pool workers.",
+        "including hits inside worker processes.",
         fn=_executor_stat("snapshot_hits"),
     )
 

@@ -13,7 +13,7 @@ Design points:
 * **zero cost when off** — :func:`span` returns a no-op context
   manager unless a collector is :func:`activate`\\ d, so instrumented
   hot paths pay one contextvar read;
-* **process-pool safe** — a :class:`TraceContext` plus the collector's
+* **worker-process safe** — a :class:`TraceContext` plus the collector's
   :class:`Timebase` serialize into a :func:`carrier` dict; worker
   processes rebuild an ephemeral collector from it and ship their
   finished spans back as plain dicts (:meth:`TraceCollector.wire`),
@@ -61,7 +61,7 @@ class Timebase:
 
     Timestamps are microseconds since ``epoch`` (a Unix time), read
     from the wall clock — the one clock that is meaningful across the
-    process-pool boundary, where ``perf_counter`` offsets differ.
+    worker-process boundary, where ``perf_counter`` offsets differ.
     """
 
     epoch: float
@@ -396,7 +396,7 @@ def span(
     return _SpanHandle(collector, opened)
 
 
-# -- carriers (process-pool boundary) --------------------------------------
+# -- carriers (worker-process boundary) -----------------------------------
 
 def carrier() -> dict[str, Any] | None:
     """A picklable capsule of the ambient tracing state, or None.

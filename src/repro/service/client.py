@@ -286,20 +286,6 @@ class ServiceClient:
     def list_artifacts(self) -> list[dict[str, Any]]:
         return self.call("list")["artifacts"]
 
-    def fleet_status(self) -> dict[str, Any]:
-        """Fleet topology from a router (``unknown-op`` on a plain server)."""
-        return self.call("fleet-status")
-
-    def fleet_drain(self, shard: str) -> dict[str, Any]:
-        """Drain and restart one shard via the router; blocks until done.
-
-        The router stops routing new work to the shard, waits for its
-        queued and running jobs to finish (caching their results so no
-        submission is dropped), restarts the process, and then answers —
-        so size ``timeout`` on the client for the longest queued job.
-        """
-        return self.call("fleet-drain", shard=shard)
-
     def wait(
         self, job_id: str, timeout: float = 600.0, poll: float = 0.05
     ) -> dict[str, Any]:

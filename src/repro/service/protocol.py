@@ -271,54 +271,11 @@ class ListRequest(Request):
         return cls(client=_get_str(data, "client", "anon"))
 
 
-@dataclass(frozen=True)
-class FleetStatusRequest(Request):
-    """Fleet topology: shards, ring membership, routing accounting.
-
-    Answered by a :class:`~repro.fleet.router.FleetRouter`; a plain
-    single-process server replies with a structured ``unknown-op``
-    error (its dispatch has no fleet), which is exactly how a client
-    tells the two apart.
-    """
-
-    op: ClassVar[str] = "fleet-status"
-
-    @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "FleetStatusRequest":
-        return cls(client=_get_str(data, "client", "anon"))
-
-
-@dataclass(frozen=True)
-class FleetDrainRequest(Request):
-    """Drain one shard: stop routing to it, finish its queued jobs,
-    then restart it — zero dropped submissions (router-only op)."""
-
-    op: ClassVar[str] = "fleet-drain"
-    shard: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.shard:
-            raise _bad("op 'fleet-drain' requires field 'shard'")
-
-    @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "FleetDrainRequest":
-        return cls(
-            client=_get_str(data, "client", "anon"),
-            shard=_require(_get_str(data, "shard"), "shard"),
-        )
-
-    def to_wire(self) -> dict[str, Any]:
-        wire = super().to_wire()
-        wire["shard"] = self.shard
-        return wire
-
-
 REQUEST_TYPES: dict[str, Callable[[Mapping[str, Any]], Request]] = {
     cls.op: cls.from_wire  # type: ignore[attr-defined]
     for cls in (
         SubmitRequest, StatusRequest, ResultRequest, CancelRequest,
         HealthRequest, MetricsRequest, ListRequest,
-        FleetStatusRequest, FleetDrainRequest,
     )
 }
 

@@ -19,10 +19,14 @@ from repro.backend import (
     warm_available,
 )
 from repro.backend.inline import InlineBackend
-from repro.backend.pool import PoolBackend
 from repro.backend.warm import WarmBackend
 from repro.errors import ConfigurationError
 from repro.exec import set_default_jobs
+
+needs_fork = pytest.mark.skipif(
+    not warm_available(), reason="warm backend needs the fork start method"
+)
+
 
 @pytest.fixture(autouse=True)
 def clean_backend_state(monkeypatch):
@@ -38,25 +42,25 @@ def clean_backend_state(monkeypatch):
 
 class TestResolutionChain:
     def test_explicit_wins_over_everything(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "pool")
+        monkeypatch.setenv("REPRO_BACKEND", "warm")
         set_default_backend("warm")
         assert resolve_backend_name("inline") == "inline"
 
     def test_default_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "warm")
-        set_default_backend("pool")
-        assert resolve_backend_name() == "pool"
+        set_default_backend("inline")
+        assert resolve_backend_name() == "inline"
 
     def test_env_beats_jobs_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "pool")
-        assert resolve_backend_name(jobs=4) == "pool"
+        monkeypatch.setenv("REPRO_BACKEND", "inline")
+        assert resolve_backend_name(jobs=4) == "inline"
 
     def test_single_job_falls_back_to_inline(self):
         assert resolve_backend_name() == "inline"
         assert resolve_backend_name(jobs=1) == "inline"
 
     def test_multi_job_falls_back_to_warm(self):
-        expected = "warm" if warm_available() else "pool"
+        expected = "warm" if warm_available() else "inline"
         assert resolve_backend_name(jobs=4) == expected
 
     def test_names_normalised(self):
@@ -70,7 +74,7 @@ class TestResolutionChain:
     def test_rejection_lists_the_known_names(self):
         with pytest.raises(
             ConfigurationError,
-            match=r"unknown backend 'bogus'; known: inline, pool, warm",
+            match=r"unknown backend 'bogus'; known: inline, warm",
         ):
             resolve_backend_name("bogus")
 
@@ -86,18 +90,19 @@ class TestResolutionChain:
 
 class TestInstances:
     def test_make_backend_returns_the_registered_classes(self):
-        assert BACKEND_NAMES == ("inline", "pool", "warm")
+        assert BACKEND_NAMES == ("inline", "warm")
         assert isinstance(make_backend("inline"), InlineBackend)
-        assert isinstance(make_backend("pool", workers=2), PoolBackend)
         if warm_available():
             warm = make_backend("warm", workers=2)
             assert isinstance(warm, WarmBackend)
             warm.shutdown(grace=1.0)
 
+    @needs_fork
     def test_get_backend_shares_by_name_and_workers(self):
-        a = get_backend("pool", jobs=2)
-        b = get_backend("pool", jobs=2)
-        c = get_backend("pool", jobs=3)
+        # Workers spawn on first use, so sharing costs no processes here.
+        a = get_backend("warm", jobs=2)
+        b = get_backend("warm", jobs=2)
+        c = get_backend("warm", jobs=3)
         assert a is b
         assert a is not c
         assert a in shared_backends() and c in shared_backends()
@@ -107,7 +112,7 @@ class TestInstances:
         assert get_backend("inline", jobs=4) is get_backend("inline", jobs=1)
 
     def test_shutdown_backends_empties_the_registry(self):
-        get_backend("pool", jobs=2)
+        get_backend("inline")
         assert shared_backends()
         shutdown_backends(grace=1.0)
         assert shared_backends() == []

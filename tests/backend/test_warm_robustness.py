@@ -19,7 +19,7 @@ from repro.backend import GLOBAL_STATS, make_backend, warm, warm_available
 from repro.backend.warm import WarmBackend, WorkerFailure
 from repro.core.config import Mode, Pattern
 from repro.core.sweep import SweepSpec
-from repro.exec import BackendExecutor
+from repro.exec import Executor
 from repro.obs.metrics import build_unified_registry
 
 pytestmark = pytest.mark.skipif(
@@ -138,7 +138,7 @@ class TestWorkerDeath:
         # a worker while run() is dispatching; whether the kill lands
         # mid-batch or between plans, the table must match inline.
         plan = small_plan(base_seed=2)
-        inline = BackendExecutor(make_backend("inline"), cache=None).run(plan)
+        inline = Executor(make_backend("inline"), cache=None).run(plan)
 
         backend = make_backend("warm", workers=2)
 
@@ -151,7 +151,7 @@ class TestWorkerDeath:
         killer = threading.Thread(target=kill_soon)
         try:
             killer.start()
-            table = BackendExecutor(backend, cache=None).run(plan)
+            table = Executor(backend, cache=None).run(plan)
         finally:
             killer.join()
             backend.shutdown(grace=2.0)

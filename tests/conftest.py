@@ -9,6 +9,18 @@ from repro.kernel.system import Machine
 
 
 @pytest.fixture
+def warm():
+    """A private two-worker warm backend, shut down after the test."""
+    from repro.backend import make_backend, warm_available
+
+    if not warm_available():
+        pytest.skip("warm backend needs the fork start method")
+    backend = make_backend("warm", workers=2)
+    yield backend
+    backend.shutdown(grace=2.0)
+
+
+@pytest.fixture
 def quiet_perfctr_machine() -> Machine:
     """A CD/perfctr machine with no I/O interrupts (deterministic)."""
     return Machine(

@@ -8,6 +8,7 @@ stay exception-free.
 """
 
 import pickle
+import sys
 import threading
 
 import pytest
@@ -117,6 +118,12 @@ class TestChaosWriteFaults:
             threading.Thread(target=read_loop, args=(cache,))
             for cache in readers
         ]
+        # Four spinning readers hold the GIL between file operations, so
+        # each time the writer's I/O releases it the writer waits out a
+        # whole switch interval (5 ms by default) to get it back.  A short
+        # interval stops that convoy without changing what the test races.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
         for thread in threads:
             thread.start()
         try:
@@ -127,6 +134,7 @@ class TestChaosWriteFaults:
             stop.set()
             for thread in threads:
                 thread.join(timeout=30.0)
+            sys.setswitchinterval(switch_interval)
         assert not errors
         # The chaos actually fired: at least one reader quarantined a
         # torn entry (p=0.5 over 480 writes cannot all miss).

@@ -14,10 +14,8 @@ from repro.core.sweep import SweepSpec
 from repro.errors import ConfigurationError
 from repro.backend import set_default_backend
 from repro.exec import (
-    BackendExecutor,
-    ParallelExecutor,
+    Executor,
     ResultCache,
-    SerialExecutor,
     get_executor,
     resolve_jobs,
     set_default_jobs,
@@ -37,7 +35,7 @@ def _no_ambient_jobs(monkeypatch):
 
 
 def small_plan(base_seed: int = 0):
-    """A real factorial sweep, big enough to engage the process pool."""
+    """A real factorial sweep, big enough to split across workers."""
     return SweepSpec(
         processors=("CD",),
         infras=("pm", "pc"),
@@ -60,27 +58,26 @@ class SquareJob:
 
 
 class TestDeterminism:
-    def test_serial_and_parallel_tables_are_byte_identical(self):
+    def test_serial_and_parallel_tables_are_byte_identical(self, warm):
         plan = small_plan()
-        assert len(plan) >= ParallelExecutor.MIN_BATCH
-        serial = SerialExecutor(cache=None).run(plan)
-        parallel = ParallelExecutor(max_workers=2, cache=None).run(plan)
+        serial = Executor(cache=None).run(plan)
+        parallel = Executor(warm, cache=None).run(plan)
         assert serial.to_csv() == parallel.to_csv()
 
     def test_cached_rerun_is_byte_identical_and_all_hits(self):
         cache = ResultCache()
         plan = small_plan(base_seed=1)
-        first = SerialExecutor(cache=cache).run(plan)
+        first = Executor(cache=cache).run(plan)
         assert cache.stats.stores == len(plan)
-        second = SerialExecutor(cache=cache).run(plan)
+        second = Executor(cache=cache).run(plan)
         assert first.to_csv() == second.to_csv()
         assert cache.stats.hits == len(plan)
 
-    def test_parallel_run_populates_cache_serial_run_reuses(self):
+    def test_parallel_run_populates_cache_serial_run_reuses(self, warm):
         cache = ResultCache()
         plan = small_plan(base_seed=2)
-        parallel = ParallelExecutor(max_workers=2, cache=cache).run(plan)
-        serial = SerialExecutor(cache=cache).run(plan)
+        parallel = Executor(warm, cache=cache).run(plan)
+        serial = Executor(cache=cache).run(plan)
         assert parallel.to_csv() == serial.to_csv()
         assert cache.stats.misses == len(plan)
         assert cache.stats.hits == len(plan)
@@ -90,33 +87,27 @@ class TestExecutorMechanics:
     def test_progress_reports_every_index_in_order(self):
         plan = small_plan(base_seed=3)
         seen: list[int] = []
-        SerialExecutor(cache=None).run(plan, progress=seen.append)
+        Executor(cache=None).run(plan, progress=seen.append)
         assert seen == list(range(len(plan)))
 
     def test_generic_jobs_without_cache_token(self):
         jobs = [SquareJob(n) for n in range(12)]
-        assert SerialExecutor(cache=ResultCache()).map(jobs) == [
+        assert Executor(cache=ResultCache()).map(jobs) == [
             n * n for n in range(12)
         ]
 
-    def test_parallel_maps_generic_jobs(self):
+    def test_parallel_maps_generic_jobs(self, warm):
         jobs = [SquareJob(n) for n in range(20)]
-        executor = ParallelExecutor(max_workers=2, cache=None)
+        executor = Executor(warm, cache=None)
         assert executor.map(jobs) == [n * n for n in range(20)]
-
-    def test_small_batches_run_inline(self):
-        executor = ParallelExecutor(max_workers=2, cache=None)
-        jobs = [SquareJob(n) for n in range(ParallelExecutor.MIN_BATCH - 1)]
-        # Inline fallback: no pool spawned, results still correct.
-        assert executor._execute(jobs, range(len(jobs))) == [
-            job.n * job.n for job in jobs
-        ]
 
 
 class TestWorkerResolution:
     def test_default_is_serial(self):
         assert resolve_jobs() == 1
-        assert isinstance(get_executor(), SerialExecutor)
+        executor = get_executor()
+        assert isinstance(executor, Executor)
+        assert executor.backend.name == "inline"
 
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "8")
@@ -132,8 +123,8 @@ class TestWorkerResolution:
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert resolve_jobs() == 3
         executor = get_executor()
-        # Multi-worker runs now default to the warm backend.
-        assert isinstance(executor, BackendExecutor)
+        # Multi-worker runs default to the warm backend.
+        assert isinstance(executor, Executor)
         assert executor.backend.name == "warm"
 
     def test_invalid_values_rejected(self, monkeypatch):
@@ -150,11 +141,6 @@ class TestWorkerResolution:
 
     def test_get_executor_defaults_to_warm(self):
         executor = get_executor(jobs=4)
-        assert isinstance(executor, BackendExecutor)
+        assert isinstance(executor, Executor)
         assert executor.backend.name == "warm"
         assert executor.backend.max_workers == 4
-
-    def test_get_executor_picks_parallel_when_asked(self):
-        executor = get_executor(jobs=4, backend="pool")
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.max_workers == 4

@@ -186,7 +186,7 @@ class TestActiveJournal:
         # fake comes back — proof the resume path serves from disk.
         from repro.core.config import Mode, Pattern
         from repro.core.sweep import SweepSpec
-        from repro.exec.executor import SerialExecutor, _token_of
+        from repro.exec.executor import Executor, _token_of
 
         plan = SweepSpec(
             processors=("CD",), infras=("pc",),
@@ -199,7 +199,7 @@ class TestActiveJournal:
         journal.append(_token_of(jobs[0]), "journalled-result")
         set_active_journal(journal)
         try:
-            results = SerialExecutor(cache=None).map(jobs)
+            results = Executor(cache=None).map(jobs)
         finally:
             set_active_journal(None)
             journal.close()

@@ -1,4 +1,4 @@
-"""Trace propagation through the executors, including the pool boundary.
+"""Trace propagation through the executor, including the worker boundary.
 
 The key claims: span identity survives pickling into worker processes
 (parent/child links reconnect in the coordinator), and tracing is a
@@ -8,12 +8,12 @@ pure observer — results are byte-identical with it on or off.
 from repro import obs
 from repro.core.config import Mode, Pattern
 from repro.core.sweep import SweepSpec
-from repro.exec import ParallelExecutor, SerialExecutor
+from repro.exec import Executor
 from repro.obs.spans import TraceCollector
 
 
-def pool_sized_plan(base_seed=0):
-    plan = SweepSpec(
+def small_plan(base_seed=0):
+    return SweepSpec(
         processors=("CD",),
         infras=("pm", "pc"),
         patterns=(Pattern.START_READ, Pattern.READ_READ),
@@ -22,8 +22,6 @@ def pool_sized_plan(base_seed=0):
         base_seed=base_seed,
         io_interrupts=False,
     ).plan()
-    assert len(plan) >= ParallelExecutor.MIN_BATCH
-    return plan
 
 
 def traced_run(executor, plan):
@@ -35,8 +33,8 @@ def traced_run(executor, plan):
 
 class TestSerialTracing:
     def test_one_span_per_job_under_the_map_span(self):
-        plan = pool_sized_plan()
-        _, collector = traced_run(SerialExecutor(cache=None), plan)
+        plan = small_plan()
+        _, collector = traced_run(Executor(cache=None), plan)
         by_name: dict = {}
         for span in collector.spans:
             by_name.setdefault(span.name, []).append(span)
@@ -51,8 +49,8 @@ class TestSerialTracing:
         assert map_span.attributes["cache_hits"] == 0
 
     def test_measurement_spans_nest_inside_job_spans(self):
-        plan = pool_sized_plan(base_seed=1)
-        _, collector = traced_run(SerialExecutor(cache=None), plan)
+        plan = small_plan(base_seed=1)
+        _, collector = traced_run(Executor(cache=None), plan)
         jobs = {s.span_id for s in collector.spans if s.name == "job"}
         measures = [s for s in collector.spans if s.name == "measure"]
         assert len(measures) == len(plan)
@@ -60,8 +58,8 @@ class TestSerialTracing:
         assert all(s.category == "measurement" for s in measures)
 
     def test_job_spans_carry_plan_indices(self):
-        plan = pool_sized_plan(base_seed=2)
-        _, collector = traced_run(SerialExecutor(cache=None), plan)
+        plan = small_plan(base_seed=2)
+        _, collector = traced_run(Executor(cache=None), plan)
         indices = sorted(
             s.attributes["index"] for s in collector.spans
             if s.name == "job"
@@ -70,11 +68,9 @@ class TestSerialTracing:
 
 
 class TestParallelTracing:
-    def test_span_ids_survive_the_process_pool(self):
-        plan = pool_sized_plan(base_seed=3)
-        _, collector = traced_run(
-            ParallelExecutor(max_workers=2, cache=None), plan
-        )
+    def test_span_ids_survive_the_process_pool(self, warm):
+        plan = small_plan(base_seed=3)
+        _, collector = traced_run(Executor(warm, cache=None), plan)
         by_name: dict = {}
         for span in collector.spans:
             by_name.setdefault(span.name, []).append(span)
@@ -91,12 +87,12 @@ class TestParallelTracing:
             collector.spans
         )
 
-    def test_parallel_and_serial_traces_have_the_same_shape(self):
-        plan = pool_sized_plan(base_seed=4)
-        _, serial = traced_run(SerialExecutor(cache=None), plan)
-        _, parallel = traced_run(
-            ParallelExecutor(max_workers=2, cache=None), plan
-        )
+    def test_parallel_and_serial_traces_have_the_same_shape(self, warm):
+        plan = small_plan(base_seed=4)
+        _, serial = traced_run(Executor(cache=None), plan)
+        # Spawn the workers outside the trace: only the run is compared.
+        Executor(warm, cache=None).run(small_plan(base_seed=8))
+        _, parallel = traced_run(Executor(warm, cache=None), plan)
 
         def shape(collector):
             counts: dict = {}
@@ -107,18 +103,15 @@ class TestParallelTracing:
 
         assert shape(serial) == shape(parallel)
 
-    def test_results_identical_with_tracing_on_and_off(self):
-        plan = pool_sized_plan(base_seed=5)
-        executor = ParallelExecutor(max_workers=2, cache=None)
-        plain = executor.run(plan)
-        traced, _ = traced_run(
-            ParallelExecutor(max_workers=2, cache=None), plan
-        )
+    def test_results_identical_with_tracing_on_and_off(self, warm):
+        plan = small_plan(base_seed=5)
+        plain = Executor(warm, cache=None).run(plan)
+        traced, _ = traced_run(Executor(warm, cache=None), plan)
         assert plain.to_csv() == traced.to_csv()
 
-    def test_untraced_parallel_records_nothing(self):
-        plan = pool_sized_plan(base_seed=6)
-        ParallelExecutor(max_workers=2, cache=None).run(plan)
+    def test_untraced_parallel_records_nothing(self, warm):
+        plan = small_plan(base_seed=6)
+        Executor(warm, cache=None).run(plan)
         assert obs.current_collector() is None
 
 
@@ -127,9 +120,9 @@ class TestCacheInteraction:
         from repro.exec import ResultCache
 
         cache = ResultCache()
-        plan = pool_sized_plan(base_seed=7)
-        SerialExecutor(cache=cache).run(plan)  # warm, untraced
-        _, collector = traced_run(SerialExecutor(cache=cache), plan)
+        plan = small_plan(base_seed=7)
+        Executor(cache=cache).run(plan)  # warm, untraced
+        _, collector = traced_run(Executor(cache=cache), plan)
         (map_span,) = [
             s for s in collector.spans if s.name == "executor.map"
         ]

@@ -87,7 +87,7 @@ class TestBackendValidation:
     def test_unknown_backend_exit_2(self, capsys):
         expect_error(
             capsys, ["reproduce", "figure4", "--backend", "bogus"],
-            "error: unknown backend 'bogus'; known: inline, pool, warm",
+            "error: unknown backend 'bogus'; known: inline, warm",
         )
 
     def test_bad_env_backend_exit_2(self, capsys, monkeypatch):
@@ -192,20 +192,49 @@ class TestRemovedFastForwardKnobs:
         assert capsys.readouterr().out == golden
 
 
-class TestBenchGateValidation:
-    def test_garbage_gate_env_exit_2(self, capsys, monkeypatch, tmp_path):
-        import json
+class TestRemovedFleetAndPool:
+    """The pool backend and the fleet/loadtest/bench/report commands are
+    gone: each is refused up front, never half-run."""
 
-        monkeypatch.setenv("REPRO_BENCH_GATE", "squishy")
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps({"benchmarks": [
-            {"name": "b", "stats": {"mean": 1.0}},
-        ]}))
-        expect_error(
-            capsys, ["bench", "diff", str(path), str(path)],
-            "error: REPRO_BENCH_GATE must be advisory or hard, "
-            "got 'squishy'",
-        )
+    POOL_ERROR = "error: unknown backend 'pool'; known: inline, warm\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "figure4", "--backend", "pool"],
+        ["serve", "--backend", "pool"],
+    ])
+    def test_pool_backend_flag_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == self.POOL_ERROR
+        assert captured.out == ""
+
+    def test_pool_backend_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "pool")
+        assert main(["reproduce", "figure4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == self.POOL_ERROR
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "serve"],
+        ["loadtest"],
+        ["bench", "diff", "a", "b"],
+        ["report", "x.json"],
+    ])
+    def test_removed_commands_are_invalid_choices(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "Traceback" not in err
+
+    def test_no_fork_falls_back_to_inline(self, monkeypatch):
+        from repro.backend import resolve_backend_name
+        from repro.backend import warm as warm_module
+
+        monkeypatch.setattr(warm_module, "warm_available", lambda: False)
+        assert resolve_backend_name(jobs=4) == "inline"
 
 
 class TestDeadlineValidation:
@@ -249,56 +278,6 @@ class TestServeValidation:
         expect_error(
             capsys, ["serve", "--request-timeout", "0"],
             "error: request-timeout must be > 0, got 0.0",
-        )
-
-
-class TestFleetValidation:
-    def test_non_positive_shards_exit_2(self, capsys):
-        expect_error(
-            capsys, ["fleet", "serve", "--shards", "0"],
-            "error: shards must be >= 1, got 0",
-        )
-
-    def test_non_positive_workers_exit_2(self, capsys):
-        expect_error(
-            capsys, ["fleet", "serve", "--workers", "-1"],
-            "error: workers must be >= 1, got -1",
-        )
-
-    def test_non_positive_queue_depth_exit_2(self, capsys):
-        expect_error(
-            capsys, ["fleet", "serve", "--queue-depth", "0"],
-            "error: queue-depth must be >= 1, got 0",
-        )
-
-    def test_non_positive_request_timeout_exit_2(self, capsys):
-        expect_error(
-            capsys, ["fleet", "serve", "--request-timeout", "0"],
-            "error: request-timeout must be > 0, got 0.0",
-        )
-
-    def test_bad_chaos_spec_exit_2(self, capsys):
-        expect_error(
-            capsys, ["fleet", "serve", "--chaos", "warp-core:p=1"],
-            "error: unknown chaos fault point 'warp-core'",
-        )
-
-
-class TestLoadtestValidation:
-    @pytest.mark.parametrize(
-        "flag", ["--shards", "--workers", "--clients", "--requests",
-                 "--distinct", "--loop-iters"],
-    )
-    def test_non_positive_knobs_exit_2(self, capsys, flag):
-        expect_error(
-            capsys, ["loadtest", flag, "0"],
-            f"error: {flag.lstrip('-')} must be >= 1, got 0",
-        )
-
-    def test_host_without_port_exit_2(self, capsys):
-        expect_error(
-            capsys, ["loadtest", "--host", "127.0.0.1"],
-            "error: --host requires --port",
         )
 
 

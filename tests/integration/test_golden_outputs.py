@@ -26,7 +26,7 @@ from repro.exec import set_default_batch, set_default_jobs
 GOLDEN = Path(__file__).parent / "golden"
 
 #: Every execution backend must reproduce the goldens byte-for-byte.
-BACKENDS = ["inline", "pool", "warm"]
+BACKENDS = ["inline", "warm"]
 
 
 @pytest.fixture(autouse=True)

@@ -146,6 +146,20 @@ class TestSnapshotStore:
         assert store.stats.hits == 1
         assert store.stats.misses == 1
 
+    def test_repeated_template_measurements_capture_once(self):
+        # A sweep's inner loop: one template, varying seeds.
+        store = configure_default_store(enabled=True)
+        for seed in range(20):
+            run_measurement(
+                MeasurementConfig(
+                    processor="CD", infra="pc", seed=seed,
+                    io_interrupts=False,
+                ),
+                NullBenchmark(),
+            )
+        assert store.stats.misses == 1
+        assert store.stats.hits == 19
+
     def test_env_kill_switch_disables_the_store(self, monkeypatch):
         monkeypatch.setenv("REPRO_SNAPSHOTS", "off")
         monkeypatch.setattr(snapshot_mod, "_default", snapshot_mod._UNSET)

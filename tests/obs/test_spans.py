@@ -140,7 +140,7 @@ class TestCarrier:
         assert retirements is True
 
     def test_worker_spans_parent_across_the_boundary(self):
-        # Simulates what ParallelExecutor does: carrier out, spans back.
+        # Simulates what the warm backend does: carrier out, spans back.
         coordinator = TraceCollector()
         with obs.activate(coordinator):
             with obs.span("executor.map", category="executor") as outer:
