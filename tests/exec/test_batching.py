@@ -60,6 +60,10 @@ class TestBatchSizeResolution:
         assert sizer.next_size(100, workers=4) == 7
         assert sizer.next_size(8, workers=4) == 1
 
+    def test_auto_is_capped(self):
+        assert resolve_batch_cap() is None
+        assert AdaptiveBatchSizer().next_size(100_000, workers=2) == 64
+
     def test_non_positive_rejected(self):
         with pytest.raises(ConfigurationError, match="batch size"):
             resolve_batch_cap(0)
