@@ -166,7 +166,13 @@ def job_attributes(job: Any, index: int) -> dict[str, Any]:
 
 
 def run_job(job: Any, index: int) -> Any:
-    """Execute one job under a per-job span (no-op when tracing is off)."""
+    """Execute one job under a per-job span.
+
+    With tracing off the job runs directly: no span could record its
+    attributes, so none are built.
+    """
+    if obs.current_collector() is None:
+        return job.execute()
     with obs.span("job", category="executor", **job_attributes(job, index)):
         return job.execute()
 

@@ -140,11 +140,29 @@ class GccModel:
         return layout
 
     def benchmark_address(self, config: "MeasurementConfig") -> int:
-        """Address the inline benchmark lands at in this configuration."""
-        layout = self.layout(config)
-        return layout.address_of("harness") + self.harness_bytes_before_benchmark(
-            config
-        )
+        """Address the inline benchmark lands at in this configuration.
+
+        A pure function of the model and four of ``config``'s factors,
+        memoized on exactly those: never on the config, which carries
+        the seed and would give one entry per measurement.
+        """
+        key = (self, config.infra, config.pattern, config.n_counters,
+               config.opt_level)
+        address = _ADDRESS_MEMO.get(key)
+        if address is None:
+            address = self.layout(config).address_of("harness")
+            address += self.harness_bytes_before_benchmark(config)
+            if len(_ADDRESS_MEMO) >= _ADDRESS_MEMO_BOUND:
+                _ADDRESS_MEMO.clear()
+            _ADDRESS_MEMO[key] = address
+        return address
+
+
+#: Memo of :meth:`GccModel.benchmark_address`, keyed by the model and the
+#: (infra, pattern, n_counters, opt_level) factors.  The paper's factor
+#: space has about 1,700 such points; clear defensively past the bound.
+_ADDRESS_MEMO: dict[tuple, int] = {}
+_ADDRESS_MEMO_BOUND = 4096
 
 
 #: The default compiler model used by measurements.

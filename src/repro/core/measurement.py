@@ -96,7 +96,21 @@ def expected_count(
         return None
     if mode is Mode.KERNEL:
         return 0
-    return events_from_work(benchmark.expected_work())[event]
+    key = (benchmark, event)
+    count = _EXPECTED_MEMO.get(key)
+    if count is None:
+        count = events_from_work(benchmark.expected_work())[event]
+        if len(_EXPECTED_MEMO) >= _EXPECTED_MEMO_BOUND:
+            _EXPECTED_MEMO.clear()
+        _EXPECTED_MEMO[key] = count
+    return count
+
+
+#: Memo of the analytical counts, keyed by (benchmark, event).  Built
+#: benchmarks are shared per spec (``repro.exec.plan``), so a sweep has
+#: a handful of keys; clear defensively past the bound.
+_EXPECTED_MEMO: dict[tuple[Benchmark, Event], int] = {}
+_EXPECTED_MEMO_BOUND = 4096
 
 
 def build_machine(config: MeasurementConfig) -> Machine:

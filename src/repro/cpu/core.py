@@ -40,6 +40,14 @@ from repro.isa.work import WorkVector
 #: against float rounding when converting cycles to seconds).
 DEADLINE_EPSILON_S = 1e-15
 
+#: A work vector's straight-line cost at one clock ratio: its cycles and
+#: its charge vector ``work.amounts + (cycles, cycles * 0.1)``.
+WorkCost = tuple[float, tuple[float, ...]]
+
+#: The one-instruction vectors the counter-access instructions retire.
+_ALU = WorkVector.single("alu")
+_SERIALIZING = WorkVector.single("serializing")
+
 
 class InterruptSource(Protocol):
     """What the core needs from an interrupt controller."""
@@ -65,10 +73,11 @@ class Core:
             (counter skid at interrupt boundaries, loop warm-up).
         governor: cpufreq governor pinning or wandering the clock.
         timing: the timing model; built from ``uarch`` when omitted.
-        cycle_memos: straight-line cycle costs of ``timing``, keyed by
-            clock ratio and then by work vector.  Boot images share one
-            mapping across every machine they boot; a private one is
-            made when omitted.
+        cycle_memos: straight-line costs of ``timing``, keyed by clock
+            ratio and then by work vector; each entry is the vector's
+            ``(cycles, charge vector)``.  Boot images share one mapping
+            across every machine they boot; a private one is made when
+            omitted.
     """
 
     def __init__(
@@ -77,12 +86,12 @@ class Core:
         rng: np.random.Generator,
         governor: Governor = Governor.PERFORMANCE,
         timing: TimingModel | None = None,
-        cycle_memos: dict[float, dict[WorkVector, float]] | None = None,
+        cycle_memos: dict[float, dict[WorkVector, WorkCost]] | None = None,
     ) -> None:
         self.uarch = uarch
         self.rng = rng
         self.pmu = uarch.make_pmu()
-        self.msr = MsrFile(self.pmu, uarch.event_codes)
+        self.msr = MsrFile(self.pmu, uarch.event_codes, uarch.evtsel_codec)
         # The timing model is a frozen value object: boot snapshots
         # (:mod:`repro.kernel.snapshot`) share one instance across every
         # machine booted from the same template.
@@ -113,7 +122,9 @@ class Core:
         # CPI only on (body, address, clock ratio); under the paper's
         # pinned PERFORMANCE governor the ratio never changes, so these
         # memos turn the per-retirement timing-model walk into a dict
-        # hit.  ``_memo_hz`` tracks the clock the memos were computed
+        # hit.  A cycle-memo entry also holds the charge vector built
+        # from the cost, so a retirement of a known vector builds no
+        # tuple.  ``_memo_hz`` tracks the clock the memos were computed
         # at; a governor retune (ondemand) switches the cycle memo to
         # the new ratio's and drops the loop CPIs.
         self._cycle_memos = cycle_memos if cycle_memos is not None else {}
@@ -140,23 +151,23 @@ class Core:
         label: str = "",
     ) -> None:
         """Retire straight-line work in the current privilege mode."""
-        if work.instructions == 0 and not cycles:
-            return
         if cycles is None:
+            if work.instructions == 0:
+                return
             current_hz = self.freq.current_hz
             if current_hz != self._memo_hz:
                 self._invalidate_timing_memos(current_hz)
-            cycles = self._work_cycles_memo.get(work)
-            if cycles is None:
-                cycles = self.timing.cycles_for_work(
-                    work, current_hz / self.uarch.freq_hz
-                )
-                if len(self._work_cycles_memo) >= 4096:
-                    self._work_cycles_memo.clear()
-                self._work_cycles_memo[work] = cycles
+            cost = self._work_cycles_memo.get(work)
+            if cost is None:
+                cost = self._memoize_cost(work)
+            cycles, charge = cost
+        elif work.instructions == 0 and not cycles:
+            return
+        else:
+            charge = work.amounts + (cycles, cycles * 0.1)
         if self.tracer is not None:
             self.tracer.record(label, self.mode, work, cycles)
-        self.pmu.charge(work.amounts + (cycles, cycles * 0.1), self.mode)
+        self.pmu.charge(charge, self.mode)
         # The charge may have run an overflow handler that retuned the
         # clock, so the frequency is read only now.
         self.cycle += cycles
@@ -169,6 +180,17 @@ class Core:
             and not self.interrupts_masked
         ):
             source.poll(self)
+
+    def _memoize_cost(self, work: WorkVector) -> WorkCost:
+        """Compute and memoize ``work``'s cost at the memo's clock."""
+        cycles = self.timing.cycles_for_work(
+            work, self._memo_hz / self.uarch.freq_hz
+        )
+        cost = (cycles, work.amounts + (cycles, cycles * 0.1))
+        if len(self._work_cycles_memo) >= 4096:
+            self._work_cycles_memo.clear()
+        self._work_cycles_memo[work] = cost
+        return cost
 
     def execute_chunk(self, chunk: Chunk) -> None:
         """Retire one straight-line chunk."""
@@ -235,7 +257,7 @@ class Core:
 
     def rdtsc(self) -> int:
         """RDTSC: read the time stamp counter (1 retired instruction)."""
-        self.retire(WorkVector.single("alu"), label="rdtsc")
+        self.retire(_ALU, label="rdtsc")
         return self.pmu.read_tsc()
 
     def rdpmc(self, index: int) -> int:
@@ -247,21 +269,21 @@ class Core:
             raise PrivilegeError(
                 "RDPMC in user mode with CR4.PCE clear raises #GP"
             )
-        self.retire(WorkVector.single("alu"), label="rdpmc")
+        self.retire(_ALU, label="rdpmc")
         return self.pmu.read(index)
 
     def rdmsr(self, address: int) -> int:
         """RDMSR: kernel-only read of a model-specific register."""
         if self.mode is not PrivLevel.KERNEL:
             raise PrivilegeError("RDMSR outside kernel mode raises #GP")
-        self.retire(WorkVector.single("serializing"), label="rdmsr")
+        self.retire(_SERIALIZING, label="rdmsr")
         return self.msr.read(address)
 
     def wrmsr(self, address: int, value: int) -> None:
         """WRMSR: kernel-only write of a model-specific register."""
         if self.mode is not PrivLevel.KERNEL:
             raise PrivilegeError("WRMSR outside kernel mode raises #GP")
-        self.retire(WorkVector.single("serializing"), label="wrmsr")
+        self.retire(_SERIALIZING, label="wrmsr")
         self.msr.write(address, value)
 
     # -- privilege transitions ---------------------------------------------

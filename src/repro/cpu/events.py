@@ -52,7 +52,7 @@ class PrivFilter(enum.Flag):
         """True when events at ``level`` should be counted."""
         # Identity tests against module constants, not Flag arithmetic
         # or enum attribute lookups: the four members are the only
-        # values, and the PMU asks on every counter programming.
+        # values.
         if level is _USER:
             return self is _USR or self is _ALL
         return self is _OS or self is _ALL

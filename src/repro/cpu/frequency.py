@@ -47,7 +47,10 @@ class FrequencyPolicy:
     governor: Governor = Governor.PERFORMANCE
     switch_probability: float = 0.2
     userspace_hz: float | None = None
-    _current_hz: float = field(init=False, default=0.0)
+    #: The core's current clock frequency.  A plain attribute, not a
+    #: property: :meth:`repro.cpu.core.Core.retire` reads it on every
+    #: retirement.
+    current_hz: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         if not self.p_states_hz:
@@ -63,12 +66,7 @@ class FrequencyPolicy:
                 raise ConfigurationError(
                     "userspace governor needs userspace_hz set to a P-state"
                 )
-        self._current_hz = self._pinned_hz()
-
-    @property
-    def current_hz(self) -> float:
-        """The core's current clock frequency."""
-        return self._current_hz
+        self.current_hz = self._pinned_hz()
 
     def on_decision_point(self, rng: np.random.Generator) -> bool:
         """Give the governor a chance to retune; True if the clock moved.
@@ -82,8 +80,8 @@ class FrequencyPolicy:
             return False
         if rng.random() >= self.switch_probability:
             return False
-        choices = [hz for hz in self.p_states_hz if hz != self._current_hz]
-        self._current_hz = float(rng.choice(choices))
+        choices = [hz for hz in self.p_states_hz if hz != self.current_hz]
+        self.current_hz = float(rng.choice(choices))
         return True
 
     def _pinned_hz(self) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from repro.cpu.branch import BranchPlacementModel
 from repro.cpu.events import Event
 from repro.cpu.fetch import FetchPlacementModel
+from repro.cpu.msr import EvtselCodec
 from repro.cpu.pmu import Pmu
 from repro.cpu.timing import TimingModel
 from repro.errors import ConfigurationError, UnsupportedEventError
@@ -52,6 +53,12 @@ class MicroArch:
     pmc_msr_writes_per_counter: int
     driver_cost_scale: float
     p_states_ghz: tuple[float, ...] = field(default=())
+    #: PERFEVTSEL decoding of ``event_codes``, shared by the MSR file
+    #: of every core this processor boots.
+    evtsel_codec: EvtselCodec = field(init=False, repr=False, compare=False)
+    _p_states_hz: tuple[float, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.freq_ghz <= 0:
@@ -66,6 +73,13 @@ class MicroArch:
             raise ConfigurationError(
                 f"{self.key}: nominal frequency must be the top P-state"
             )
+        # Derived once here rather than on every boot.
+        object.__setattr__(self, "evtsel_codec", EvtselCodec(self.event_codes))
+        object.__setattr__(self, "_p_states_hz", (
+            tuple(ghz * 1e9 for ghz in sorted(self.p_states_ghz))
+            if self.p_states_ghz
+            else (self.freq_hz,)
+        ))
 
     @property
     def freq_hz(self) -> float:
@@ -118,6 +132,4 @@ class MicroArch:
 
     def p_states_hz(self) -> tuple[float, ...]:
         """Available frequencies in Hz (nominal only, if none declared)."""
-        if not self.p_states_ghz:
-            return (self.freq_hz,)
-        return tuple(ghz * 1e9 for ghz in sorted(self.p_states_ghz))
+        return self._p_states_hz

@@ -63,6 +63,34 @@ def decode_evtsel(value: int, code_to_event: dict[int, Event]) -> CounterConfig:
     )
 
 
+class EvtselCodec:
+    """PERFEVTSEL decoding for one mapping of events to native codes.
+
+    Decoding is a pure function of the written value, and the decoded
+    :class:`CounterConfig` is a frozen value object, so each value is
+    decoded once and the result shared.  A micro-architecture holds one
+    codec for the MSR files of every core it boots: the drivers write a
+    few dozen distinct values across a whole sweep.
+    """
+
+    #: Bound on memoized values (cleared when reached).
+    MEMO_BOUND = 4096
+
+    def __init__(self, event_codes: dict[Event, int]) -> None:
+        self.code_to_event = {code: ev for ev, code in event_codes.items()}
+        self._decoded: dict[int, CounterConfig] = {}
+
+    def decode(self, value: int) -> CounterConfig:
+        """:func:`decode_evtsel` of ``value`` under this code map."""
+        config = self._decoded.get(value)
+        if config is None:
+            config = decode_evtsel(value, self.code_to_event)
+            if len(self._decoded) >= self.MEMO_BOUND:
+                self._decoded.clear()
+            self._decoded[value] = config
+        return config
+
+
 @dataclass
 class MsrFile:
     """The MSR address space of one core.
@@ -70,13 +98,17 @@ class MsrFile:
     Args:
         pmu: the PMU whose registers back the performance MSRs.
         event_codes: µarch-specific mapping from events to native codes.
+        codec: a shared codec for ``event_codes`` (the
+            micro-architecture's); a private one is built when omitted.
     """
 
     pmu: Pmu
     event_codes: dict[Event, int]
+    codec: EvtselCodec | None = None
 
     def __post_init__(self) -> None:
-        self._code_to_event = {code: ev for ev, code in self.event_codes.items()}
+        if self.codec is None:
+            self.codec = EvtselCodec(self.event_codes)
 
     def read(self, address: int) -> int:
         """RDMSR semantics (the *core* enforces the privilege check)."""
@@ -104,7 +136,7 @@ class MsrFile:
             return
         index = self._evtsel_index(address)
         if index is not None:
-            self.pmu.program(index, decode_evtsel(value, self._code_to_event))
+            self.pmu.program(index, self.codec.decode(value))
             return
         raise CounterError(f"write of unmapped MSR {address:#x}")
 

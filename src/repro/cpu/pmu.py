@@ -34,7 +34,9 @@ from repro.cpu.events import (
 from repro.errors import CounterError
 
 _USER = PrivLevel.USER
-_KERNEL = PrivLevel.KERNEL
+_NONE, _USR, _OS, _ALL = (
+    PrivFilter.NONE, PrivFilter.USR, PrivFilter.OS, PrivFilter.ALL
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,11 +62,6 @@ class ProgrammableCounter:
 
     def __post_init__(self) -> None:
         self.limit = 1 << self.width
-
-    @property
-    def live(self) -> bool:
-        """True when the counter is programmed and enabled."""
-        return self.config is not None and self.config.enabled
 
     def read(self) -> int:
         return int(self._value) % self.limit
@@ -97,10 +94,6 @@ class FixedCounter:
 
     def __post_init__(self) -> None:
         self.limit = 1 << self.width
-
-    @property
-    def live(self) -> bool:
-        return self.priv is not PrivFilter.NONE
 
     def read(self) -> int:
         return int(self._value) % self.limit
@@ -144,11 +137,11 @@ class Pmu:
         if n_programmable < 1:
             raise CounterError("a PMU needs at least one programmable counter")
         self.counters = [
-            ProgrammableCounter(index=i, width=counter_width)
+            ProgrammableCounter(i, counter_width)
             for i in range(n_programmable)
         ]
         self.fixed = [
-            FixedCounter(index=i, event=event, width=counter_width)
+            FixedCounter(i, event, counter_width)
             for i, event in enumerate(fixed_events)
         ]
         self._tsc = 0.0
@@ -339,27 +332,43 @@ class Pmu:
     def _rebind(self) -> None:
         """Rebuild the per-level counter bindings after a configuration
         change; every mutation (program, configure_fixed, enable,
-        disable, disable_all, restore) ends here."""
-        live: list[tuple[Counter, Event, PrivFilter]] = [
-            (c, c.config.event, c.config.priv) for c in self.counters if c.live
-        ]
-        live += [(f, f.event, f.priv) for f in self.fixed if f.live]
+        disable, disable_all, restore) ends here.
+
+        One pass over the registers, with identity tests on the four
+        :class:`PrivFilter` members: this runs on every MSR write that
+        programs a counter.
+        """
         user: list[tuple[Counter, int]] = []
         kernel: list[tuple[Counter, int]] = []
-        for counter, event, priv in live:
-            slot = EVENT_SLOT.get(event)
+        overflow = False
+        for counter in self.counters:
+            config = counter.config
+            if config is None or not config.enabled:
+                continue
+            if config.interrupt_on_overflow:
+                overflow = True
+            slot = EVENT_SLOT.get(config.event)
             if slot is None:
                 continue
-            if priv.matches(_USER):
+            priv = config.priv
+            if priv is _ALL or priv is _USR:
                 user.append((counter, slot))
-            if priv.matches(_KERNEL):
+            if priv is _ALL or priv is _OS:
                 kernel.append((counter, slot))
+        for fixed in self.fixed:
+            priv = fixed.priv
+            if priv is _NONE:
+                continue
+            slot = EVENT_SLOT.get(fixed.event)
+            if slot is None:
+                continue
+            if priv is _ALL or priv is _USR:
+                user.append((fixed, slot))
+            if priv is _ALL or priv is _OS:
+                kernel.append((fixed, slot))
         self.bound_user = tuple(user)
         self.bound_kernel = tuple(kernel)
-        self._overflow_bound = any(
-            c.config.interrupt_on_overflow for c, _, _ in live
-            if isinstance(c, ProgrammableCounter)
-        )
+        self._overflow_bound = overflow
 
     def _rank(self, counter: "Counter") -> int:
         """Position of ``counter`` in binding order."""

@@ -22,6 +22,7 @@ invalidates everything rather than serving stale rows.
 from __future__ import annotations
 
 import errno
+import functools
 import hashlib
 import logging
 import os
@@ -48,8 +49,9 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 _MISSING = object()
 
 
+@functools.cache
 def code_version() -> str:
-    """The code identity baked into every cache key."""
+    """The code identity baked into every cache key (fixed per process)."""
     from repro import __version__
 
     return f"repro-{__version__}/schema-{CACHE_SCHEMA_VERSION}"

@@ -143,8 +143,11 @@ class MeasurementJob:
         attaches a :class:`repro.trace.Tracer` and links its per-phase
         totals and top path summaries as span attributes.  Both are
         strict observers: the returned result is byte-identical either
-        way.
+        way.  With no collector active neither can be observed, so the
+        measurement runs directly.
         """
+        if obs.current_collector() is None:
+            return run_measurement(self.config, self.benchmark.build())
         with obs.span(
             "measure",
             category="measurement",

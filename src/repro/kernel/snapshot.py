@@ -19,8 +19,9 @@ seed-dependent state (the RNG, interrupt phases, counter values) is
 built fresh per boot, in the same order as a cold boot, so the machines
 draw identical random streams.
 
-Knobs: ``REPRO_SNAPSHOTS=off`` disables the store (every boot captures
-a fresh image); the store is LRU-bounded by ``max_entries``.  Hit/miss
+The store is always on and LRU-bounded by ``max_entries``;
+:func:`configure_default_store` replaces it, or turns it off so that
+every boot captures a fresh image (the cold-boot reference).  Hit/miss
 accounting feeds the unified metrics registry
 (``repro_snapshot_hits``/``repro_snapshot_misses``) and, via the
 executors, :class:`~repro.exec.executor.ExecutorStats`.
@@ -28,11 +29,11 @@ executors, :class:`~repro.exec.executor.ExecutorStats`.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.cpu.core import WorkCost
 from repro.cpu.models import MicroArch, microarch
 from repro.cpu.timing import TimingModel
 from repro.errors import ConfigurationError
@@ -89,9 +90,10 @@ class BootImage:
 
     The one mutable member is ``cycle_memos``, the straight-line cycle
     memo of every core booted from the image: ``timing``'s cost of each
-    retired work vector, keyed by clock ratio.  It is a pure cache, so
-    sharing it changes no count, and a template's thousands of boots
-    compute each cost once instead of once per boot.
+    retired work vector (its cycles and charge vector), keyed by clock
+    ratio.  It is a pure cache, so sharing it changes no count, and a
+    template's thousands of boots compute each cost once instead of
+    once per boot.
     """
 
     uarch: MicroArch
@@ -99,7 +101,9 @@ class BootImage:
     timing: TimingModel
     chunks: KernelChunkSet
     skid: SkidConfig
-    cycle_memos: dict[float, dict[WorkVector, float]] = field(
+    #: The counter extension class the build carries, or None.
+    extension: type | None
+    cycle_memos: dict[float, dict[WorkVector, WorkCost]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -127,7 +131,25 @@ class BootImage:
             timing=uarch.make_timing(),
             chunks=KernelChunkSet.for_build(build),
             skid=build.skid_for(uarch.key),
+            extension=_extension_for(build),
         )
+
+
+def _extension_for(build: KernelBuildConfig) -> type | None:
+    """The counter extension a kernel build carries.
+
+    Derived from the build name so ablation builds ("perfctr-hz100")
+    still get their extension.
+    """
+    if "perfctr" in build.name:
+        from repro.perfctr.kext import PerfctrKext
+
+        return PerfctrKext
+    if "perfmon" in build.name:
+        from repro.perfmon.kext import PerfmonKext
+
+        return PerfmonKext
+    return None
 
 
 @dataclass
@@ -203,32 +225,29 @@ class SnapshotStore:
 
 # -- the process-wide default store ----------------------------------------
 
-_UNSET = object()
-_default: "SnapshotStore | None | object" = _UNSET
+_default: "SnapshotStore | None" = SnapshotStore()
 
 
 def default_store() -> "SnapshotStore | None":
     """The shared store boots use, or None when snapshots are off.
 
-    ``REPRO_SNAPSHOTS=off`` (or ``0``/``no``) disables the store; it is
-    read once, at first use.
+    The store is a pure cache and is always on, except after
+    :func:`configure_default_store` turned it off.
     """
-    global _default
-    if _default is _UNSET:
-        if os.environ.get("REPRO_SNAPSHOTS", "").lower() in ("off", "0", "no"):
-            _default = None
-        else:
-            _default = SnapshotStore()
-    return _default  # type: ignore[return-value]
+    return _default
 
 
 def configure_default_store(
     enabled: bool = True, max_entries: int = 64
 ) -> "SnapshotStore | None":
-    """Replace the process-wide store (test and tooling hook)."""
+    """Replace the process-wide store (test and tooling hook).
+
+    ``enabled=False`` makes every boot capture a fresh image: the
+    cold-boot reference the byte-identity tests compare against.
+    """
     global _default
     _default = SnapshotStore(max_entries=max_entries) if enabled else None
-    return _default  # type: ignore[return-value]
+    return _default
 
 
 def boot_image(

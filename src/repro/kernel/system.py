@@ -32,6 +32,10 @@ from repro.kernel.snapshot import BootImage, boot_image
 from repro.kernel.syscalls import SyscallTable
 from repro.kernel.thread import Thread
 
+#: The trap and return instructions every system call retires.
+_TRAP = WorkVector.single("alu")
+_SYSEXIT = WorkVector.single("serializing")
+
 
 class Machine:
     """A booted simulated system.
@@ -93,7 +97,8 @@ class Machine:
         self.core.skid_probability = skid.probability
         self.core.skid_bias = skid.bias
         self.core.skid_magnitude = skid.magnitude
-        self.extension: Any = self._install_extension()
+        extension = image.extension
+        self.extension: Any = extension(self) if extension is not None else None
         self.main_thread: Thread = self.scheduler.spawn("main")
         self._entry_chunk = image.chunks.syscall_entry
         self._exit_chunk = image.chunks.syscall_exit
@@ -114,13 +119,13 @@ class Machine:
         core = self.core
         if core.mode is not PrivLevel.USER:
             raise MachineStateError("syscall issued while already in kernel mode")
-        core.retire(WorkVector.single("alu"))  # sysenter/int80
+        core.retire(_TRAP)  # sysenter/int80
         core.mode = PrivLevel.KERNEL
         try:
             core.execute_chunk(self._entry_chunk)
             result = self.syscalls.dispatch(number, *args)
             core.execute_chunk(self._exit_chunk)
-            core.retire(WorkVector.single("serializing"))  # sysexit/iret
+            core.retire(_SYSEXIT)  # sysexit/iret
         finally:
             core.mode = PrivLevel.USER
         return result
@@ -149,17 +154,4 @@ class Machine:
             return "perfctr"
         if "perfmon" in self.build.name:
             return "perfmon"
-        return None
-
-    def _install_extension(self) -> Any:
-        # Derived from the build name so ablation builds ("perfctr-hz100")
-        # still get their extension.
-        if "perfctr" in self.build.name:
-            from repro.perfctr.kext import PerfctrKext
-
-            return PerfctrKext(self)
-        if "perfmon" in self.build.name:
-            from repro.perfmon.kext import PerfmonKext
-
-            return PerfmonKext(self)
         return None

@@ -2,6 +2,7 @@
 
 import itertools
 
+from repro.core import compiler
 from repro.core.compiler import DEFAULT_GCC, GccModel, OptLevel
 from repro.core.config import INFRASTRUCTURES, MeasurementConfig, Pattern
 
@@ -88,3 +89,24 @@ class TestAddresses:
             for p, o in itertools.product(Pattern, OptLevel)
         }
         assert offsets != {0}
+
+
+class TestAddressMemo:
+    def test_memo_is_keyed_by_layout_factors_not_the_seed(self):
+        compiler._ADDRESS_MEMO.clear()
+        addresses = {
+            DEFAULT_GCC.benchmark_address(config(seed=seed))
+            for seed in range(50)
+        }
+        assert len(addresses) == 1
+        assert len(compiler._ADDRESS_MEMO) == 1
+
+    def test_memoized_address_matches_the_layout(self):
+        compiler._ADDRESS_MEMO.clear()
+        for p, o in itertools.product(Pattern, OptLevel):
+            c = config(pattern=p, opt_level=o, n_counters=2)
+            fresh = DEFAULT_GCC.layout(c).address_of("harness")
+            fresh += DEFAULT_GCC.harness_bytes_before_benchmark(c)
+            assert DEFAULT_GCC.benchmark_address(c) == fresh
+            assert DEFAULT_GCC.benchmark_address(c) == fresh
+        assert len(compiler._ADDRESS_MEMO) == len(Pattern) * len(OptLevel)

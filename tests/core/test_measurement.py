@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import measurement
 from repro.core.benchmarks import LoopBenchmark, NullBenchmark
 from repro.core.config import MeasurementConfig, Mode, Pattern
 from repro.core.measurement import (
@@ -35,6 +36,16 @@ class TestExpectedCount:
 
     def test_cycles_unmodeled(self):
         assert expected_count(LoopBenchmark(10), Event.CYCLES, Mode.USER) is None
+
+    def test_memo_is_keyed_by_benchmark_and_event(self):
+        measurement._EXPECTED_MEMO.clear()
+        bench = LoopBenchmark(100)
+        for mode in (Mode.USER, Mode.USER_KERNEL, Mode.USER):
+            assert expected_count(bench, Event.INSTR_RETIRED, mode) == 301
+        assert expected_count(bench, Event.BRANCHES_RETIRED, Mode.USER) == 100
+        assert list(measurement._EXPECTED_MEMO) == [
+            (bench, Event.INSTR_RETIRED), (bench, Event.BRANCHES_RETIRED),
+        ]
 
 
 class TestRunMeasurement:

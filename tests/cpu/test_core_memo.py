@@ -63,7 +63,7 @@ class TestTimingMemos:
             hz for hz in core.freq.p_states_hz
             if hz != core.freq.current_hz
         )
-        core.freq._current_hz = other  # what a governor retune does
+        core.freq.current_hz = other  # what a governor retune does
         core.retire(work)
         assert core._memo_hz == other
         # The memo was rebuilt at the new clock, not reused stale.
@@ -110,12 +110,13 @@ class TestSharedCycleMemo:
         other = next(
             hz for hz in core.freq.p_states_hz if hz != core.freq.current_hz
         )
-        core.freq._current_hz = other
+        core.freq.current_hz = other
         core.retire(work)
         memos = machine.image.cycle_memos
         ratio = other / core.uarch.freq_hz
         assert core._work_cycles_memo is memos[ratio]
-        assert memos[ratio][work] == core.timing.cycles_for_work(work, ratio)
+        cycles, _charge = memos[ratio][work]
+        assert cycles == core.timing.cycles_for_work(work, ratio)
 
 
 class TestSharedDeltaBuffers:
@@ -143,8 +144,10 @@ class TestSharedDeltaBuffers:
         assert alu.amounts == (1, 0, 0, 0, 0, 0)
         ratio = core.freq.current_hz / core.uarch.freq_hz
         memo = machine.image.cycle_memos[ratio]
-        assert memo[work] == core.timing.cycles_for_work(work, ratio)
-        assert memo[alu] == core.timing.cycles_for_work(alu, ratio)
+        work_cycles, _charge = memo[work]
+        alu_cycles, _charge = memo[alu]
+        assert work_cycles == core.timing.cycles_for_work(work, ratio)
+        assert alu_cycles == core.timing.cycles_for_work(alu, ratio)
 
     def test_reentrant_retire_via_overflow_handler(self):
         """A sampling-mode overflow callback re-enters retire() while the

@@ -2,17 +2,20 @@
 
 import pytest
 
+from repro.cpu import msr as msr_mod
 from repro.cpu.events import Event, PrivFilter
 from repro.cpu.msr import (
     MSR_PERFCTR_BASE,
     MSR_PERFEVTSEL_BASE,
     MSR_TSC,
+    EvtselCodec,
     MsrFile,
     decode_evtsel,
     encode_evtsel,
 )
 from repro.cpu.pmu import CounterConfig, Pmu
 from repro.errors import CounterError
+from repro.kernel.system import Machine
 
 CODES = {Event.INSTR_RETIRED: 0xC0, Event.CYCLES: 0x3C}
 
@@ -77,3 +80,33 @@ class TestMsrFile:
     def test_out_of_range_counter_msr_unmapped(self, msr):
         with pytest.raises(CounterError, match="unmapped"):
             msr.read(MSR_PERFCTR_BASE + 2)  # only 2 counters
+
+
+class TestEvtselCodec:
+    def test_each_value_is_decoded_once(self, monkeypatch):
+        decoded = []
+
+        def counting(value, code_to_event):
+            decoded.append(value)
+            return decode_evtsel(value, code_to_event)
+
+        monkeypatch.setattr(msr_mod, "decode_evtsel", counting)
+        codec = EvtselCodec(CODES)
+        config = CounterConfig(Event.CYCLES, PrivFilter.OS, True)
+        value = encode_evtsel(config, CODES[Event.CYCLES])
+        first = codec.decode(value)
+        assert first == config
+        assert codec.decode(value) is first
+        assert decoded == [value]
+
+    def test_memo_is_bounded(self):
+        codec = EvtselCodec(CODES)
+        codec.MEMO_BOUND = 2
+        for priv in (PrivFilter.USR, PrivFilter.OS, PrivFilter.ALL):
+            codec.decode(encode_evtsel(CounterConfig(Event.CYCLES, priv), 0x3C))
+        assert len(codec._decoded) <= 2
+
+    def test_cores_of_one_microarch_share_the_codec(self):
+        first, second = Machine(seed=1), Machine(seed=2)
+        assert first.core.msr.codec is second.core.msr.codec
+        assert first.core.msr.codec is first.uarch.evtsel_codec

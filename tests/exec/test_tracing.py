@@ -6,6 +6,7 @@ pure observer — results are byte-identical with it on or off.
 """
 
 from repro import obs
+from repro.backend import base as backend_base
 from repro.core.config import Mode, Pattern
 from repro.core.sweep import SweepSpec
 from repro.exec import Executor
@@ -129,3 +130,23 @@ class TestCacheInteraction:
         assert map_span.attributes["cache_hits"] == len(plan)
         assert map_span.attributes["executed"] == 0
         assert not [s for s in collector.spans if s.name == "job"]
+
+
+class TestUntracedDirectPath:
+    """With no collector, jobs run without building a span or its
+    attributes: nothing could observe either."""
+
+    def test_no_span_is_built_without_a_collector(self, monkeypatch):
+        jobs = small_plan(base_seed=8).jobs
+        expected = [job.execute() for job in jobs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("span work done with tracing off")
+
+        monkeypatch.setattr(obs, "span", refuse)
+        monkeypatch.setattr(backend_base, "job_attributes", refuse)
+        assert obs.current_collector() is None
+        assert [
+            backend_base.run_job(job, index) for index, job in enumerate(jobs)
+        ] == expected
+        assert [job.execute() for job in jobs] == expected

@@ -3,10 +3,14 @@
 The invariant that matters: a machine booted from a snapshot image is
 indistinguishable from a cold boot — same chunks, same random stream,
 same measured counts.  Everything else here is bookkeeping (hits,
-misses, evictions, the env kill-switch).
+misses, evictions, the off switch).
 """
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,11 +164,25 @@ class TestSnapshotStore:
         assert store.stats.misses == 1
         assert store.stats.hits == 19
 
-    def test_env_kill_switch_disables_the_store(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SNAPSHOTS", "off")
-        monkeypatch.setattr(snapshot_mod, "_default", snapshot_mod._UNSET)
+    def test_env_kill_switch_disables_the_store(self):
+        # The REPRO_SNAPSHOTS knob is gone: a fresh process that has it
+        # set still shares one image between boots.
+        code = (
+            "from repro.kernel.snapshot import boot_image; "
+            "print(boot_image('CD', 'perfctr') is boot_image('CD', 'perfctr'))"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, REPRO_SNAPSHOTS="off")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=env,
+        ).stdout
+        assert out.strip() == "True"
+        # The test hook still turns the store off; boot_image then
+        # captures fresh every time.
+        configure_default_store(enabled=False)
         assert snapshot_mod.default_store() is None
-        # boot_image still works, capturing fresh every time.
         a = boot_image("CD", "perfctr")
         b = boot_image("CD", "perfctr")
         assert a is not b
