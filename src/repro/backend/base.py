@@ -38,7 +38,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro import obs
 from repro.backend.knobs import resolve_batch_cap
 from repro.kernel.snapshot import snapshot_hits_total
 
@@ -80,8 +79,6 @@ class CompletedBatch:
 
     batch_id: int
     results: list[Any]
-    #: Finished worker-side trace spans, or None when tracing was off.
-    wires: "list[dict[str, Any]] | None"
     #: Machine boots a snapshot store absorbed while running the batch.
     snapshot_hits: int
     #: Wall-clock seconds the batch took where it ran (feeds the sizer).
@@ -156,52 +153,18 @@ class AdaptiveBatchSizer:
             )
 
 
-def job_attributes(job: Any, index: int) -> dict[str, Any]:
-    """JSON-safe span attributes identifying one job."""
-    attributes: dict[str, Any] = {"index": index}
-    tags = getattr(job, "tags", None)
-    if tags:
-        attributes.update((str(key), value) for key, value in tags)
-    return attributes
-
-
-def run_job(job: Any, index: int) -> Any:
-    """Execute one job under a per-job span.
-
-    With tracing off the job runs directly: no span could record its
-    attributes, so none are built.
-    """
-    if obs.current_collector() is None:
-        return job.execute()
-    with obs.span("job", category="executor", **job_attributes(job, index)):
-        return job.execute()
-
-
-def run_batch_jobs(
-    jobs: Sequence[Any],
-    indices: Sequence[int],
-    carrier: "dict[str, Any] | None",
-) -> "tuple[list[Any], list[dict[str, Any]] | None, int, float]":
+def run_batch_jobs(jobs: Sequence[Any]) -> "tuple[list[Any], int, float]":
     """Run one batch's jobs in order, wherever this is called.
 
-    Returns ``(results, wires, snapshot_hits, seconds)``: the results
-    list, the batch's finished trace spans (rebuilt from the pickled
-    carrier so worker-side spans parent onto the coordinator's dispatch
-    span; None when tracing is off), how many machine boots the local
-    snapshot store absorbed, and measured wall-clock seconds.
+    Returns ``(results, snapshot_hits, seconds)``: the results list, how
+    many machine boots the local snapshot store absorbed, and measured
+    wall-clock seconds.
     """
     hits_before = snapshot_hits_total()
     start = time.perf_counter()
-    if carrier is None:
-        results = [job.execute() for job in jobs]
-        wires = None
-    else:
-        collector, context, retirements = obs.collector_from_carrier(carrier)
-        with obs.activate(collector, context=context, retirements=retirements):
-            results = [run_job(job, index) for job, index in zip(jobs, indices)]
-        wires = collector.wire()
+    results = [job.execute() for job in jobs]
     seconds = time.perf_counter() - start
-    return results, wires, snapshot_hits_total() - hits_before, seconds
+    return results, snapshot_hits_total() - hits_before, seconds
 
 
 class ExecutionBackend(abc.ABC):
@@ -234,12 +197,7 @@ class ExecutionBackend(abc.ABC):
         """Batches submitted but not yet collected."""
 
     @abc.abstractmethod
-    def submit(
-        self,
-        jobs: Sequence[Any],
-        indices: Sequence[int],
-        carrier: "dict[str, Any] | None" = None,
-    ) -> int:
+    def submit(self, jobs: Sequence[Any], indices: Sequence[int]) -> int:
         """Dispatch one batch; returns its batch id."""
 
     @abc.abstractmethod
@@ -336,43 +294,30 @@ class ExecutionBackend(abc.ABC):
         cap: "int | None",
         on_batch: "Callable[[list[Any], list[Any]], None] | None" = None,
     ) -> ExecutionOutcome:
-        with obs.span(
-            "executor.dispatch", category="executor",
-            backend=self.name, jobs=len(jobs), workers=self.workers,
-        ) as sp:
-            # Captured inside the span so worker-side job spans parent
-            # onto it, exactly as in-process job spans do.
-            carrier = obs.carrier()
-            collector = obs.current_collector() if carrier is not None else None
-            self.prepare(jobs)
-            order: list[int] = []
-            by_batch: dict[int, list[Any]] = {}
-            batch_jobs: dict[int, list[Any]] = {}
-            cursor = 0
-            snapshot_hits = 0
-            max_inflight = max(1, self.workers) * 2
-            while cursor < len(jobs) or self.inflight:
-                while cursor < len(jobs) and self.inflight < max_inflight:
-                    size = self._next_batch_size(len(jobs) - cursor, cap)
-                    batch_id = self.submit(
-                        jobs[cursor:cursor + size],
-                        indices[cursor:cursor + size],
-                        carrier=carrier,
-                    )
-                    order.append(batch_id)
-                    if on_batch is not None:
-                        batch_jobs[batch_id] = jobs[cursor:cursor + size]
-                    cursor += size
-                done = self.collect()
-                self.sizer.record(done.jobs, done.seconds)
-                self._account_batch(done)
-                if collector is not None and done.wires is not None:
-                    collector.absorb(done.wires)
-                by_batch[done.batch_id] = done.results
-                snapshot_hits += done.snapshot_hits
+        self.prepare(jobs)
+        order: list[int] = []
+        by_batch: dict[int, list[Any]] = {}
+        batch_jobs: dict[int, list[Any]] = {}
+        cursor = 0
+        snapshot_hits = 0
+        max_inflight = max(1, self.workers) * 2
+        while cursor < len(jobs) or self.inflight:
+            while cursor < len(jobs) and self.inflight < max_inflight:
+                size = self._next_batch_size(len(jobs) - cursor, cap)
+                batch_id = self.submit(
+                    jobs[cursor:cursor + size], indices[cursor:cursor + size]
+                )
+                order.append(batch_id)
                 if on_batch is not None:
-                    on_batch(batch_jobs.pop(done.batch_id, []), done.results)
-            sp.set(batches=len(order), snapshot_hits=snapshot_hits)
+                    batch_jobs[batch_id] = jobs[cursor:cursor + size]
+                cursor += size
+            done = self.collect()
+            self.sizer.record(done.jobs, done.seconds)
+            self._account_batch(done)
+            by_batch[done.batch_id] = done.results
+            snapshot_hits += done.snapshot_hits
+            if on_batch is not None:
+                on_batch(batch_jobs.pop(done.batch_id, []), done.results)
         results = [result for bid in order for result in by_batch[bid]]
         return ExecutionOutcome(
             results=results, batches=len(order), snapshot_hits=snapshot_hits

@@ -187,33 +187,21 @@ class BatchFrame:
     entries: tuple[tuple[int, int, int], ...]
     #: Pickled whole jobs, consumed in order by :data:`EXTRA_JOB` entries.
     extras: tuple[Any, ...]
-    #: Trace carrier dict, or None when tracing is off.
-    carrier: "dict[str, Any] | None"
-    #: Per-entry job tags — shipped only while tracing, where the
-    #: worker-side ``job`` spans need them as attributes; None on the
-    #: hot path (tags never influence execution or results).
-    tags: "tuple[tuple[tuple[str, Any], ...], ...] | None" = None
 
 
 def encode_batch(
     batch_id: int,
     entries: Sequence[tuple[int, int, int]],
     extras: Sequence[Any] = (),
-    carrier: "dict[str, Any] | None" = None,
-    tags: "Sequence[tuple[tuple[str, Any], ...]] | None" = None,
 ) -> bytes:
     """Pack one batch: fixed 16-byte entries plus an optional tail."""
-    has_tail = bool(extras) or carrier is not None or tags is not None
-    parts = [_BATCH_HEAD.pack(batch_id, len(entries), int(has_tail))]
+    parts = [_BATCH_HEAD.pack(batch_id, len(entries), int(bool(extras)))]
     for template_id, seed, index in entries:
         parts.append(_ENTRY.pack(template_id, seed, index))
-    if has_tail:
-        tail = (
-            tuple(extras),
-            carrier,
-            tuple(tags) if tags is not None else None,
+    if extras:
+        parts.append(
+            pickle.dumps(tuple(extras), protocol=pickle.HIGHEST_PROTOCOL)
         )
-        parts.append(pickle.dumps(tail, protocol=pickle.HIGHEST_PROTOCOL))
     return b"".join(parts)
 
 
@@ -233,21 +221,14 @@ def decode_batch(payload: bytes) -> BatchFrame:
         for i in range(count)
     )
     extras: tuple[Any, ...] = ()
-    carrier = None
-    tags = None
     if has_tail:
         try:
-            tail = pickle.loads(payload[need:])
-            extras, carrier, tags = tail
-        except FrameError:
-            raise
+            extras = pickle.loads(payload[need:])
         except Exception as exc:
             raise FrameError(f"batch frame tail does not decode: {exc}") from exc
-        if not isinstance(extras, tuple) or (
-            carrier is not None and not isinstance(carrier, dict)
-        ):
+        if not isinstance(extras, tuple):
             raise FrameError("batch frame tail has the wrong shape")
-    return BatchFrame(batch_id, entries, extras, carrier, tags)
+    return BatchFrame(batch_id, entries, extras)
 
 
 def encode_results(
@@ -255,18 +236,13 @@ def encode_results(
     snapshot_hits: int,
     seconds: float,
     results: Sequence[Any],
-    wires: "list[dict[str, Any]] | None",
 ) -> bytes:
     """Pack one batch's outcome: accounting header + pickled results."""
     head = _RESULTS_HEAD.pack(batch_id, snapshot_hits, seconds)
-    return head + pickle.dumps(
-        (list(results), wires), protocol=pickle.HIGHEST_PROTOCOL
-    )
+    return head + pickle.dumps(list(results), protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def decode_results(
-    payload: bytes,
-) -> "tuple[int, int, float, list[Any], list[dict[str, Any]] | None]":
+def decode_results(payload: bytes) -> "tuple[int, int, float, list[Any]]":
     try:
         batch_id, snapshot_hits, seconds = _RESULTS_HEAD.unpack_from(payload)
     except struct.error as exc:
@@ -274,17 +250,12 @@ def decode_results(
             f"results frame too short for its header: {exc}"
         ) from exc
     try:
-        body = pickle.loads(payload[_RESULTS_HEAD.size:])
-        results, wires = body
-    except FrameError:
-        raise
+        results = pickle.loads(payload[_RESULTS_HEAD.size:])
     except Exception as exc:
         raise FrameError(f"results frame body does not decode: {exc}") from exc
-    if not isinstance(results, list) or (
-        wires is not None and not isinstance(wires, list)
-    ):
+    if not isinstance(results, list):
         raise FrameError("results frame body has the wrong shape")
-    return batch_id, snapshot_hits, seconds, results, wires
+    return batch_id, snapshot_hits, seconds, results
 
 
 _STALL = struct.Struct("<d")

@@ -1,20 +1,16 @@
 """The inline backend: every job runs in the coordinating process.
 
 This is the serial path — jobs execute in submission order, in this
-process, under the ambient trace context (job spans parent straight
-onto the dispatch span, no carrier round-trip).  It is the default
-backend for ``--jobs 1`` and the baseline every other backend must
-byte-match.
+process.  It is the default backend for ``--jobs 1`` and the baseline
+every other backend must byte-match.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from typing import Any, Sequence
 
-from repro.backend.base import CompletedBatch, ExecutionBackend, run_job
-from repro.kernel.snapshot import snapshot_hits_total
+from repro.backend.base import CompletedBatch, ExecutionBackend, run_batch_jobs
 
 
 class InlineBackend(ExecutionBackend):
@@ -39,29 +35,17 @@ class InlineBackend(ExecutionBackend):
         """One dispatch unit per run: splitting buys nothing in-process."""
         return pending
 
-    def submit(
-        self,
-        jobs: Sequence[Any],
-        indices: Sequence[int],
-        carrier: "dict[str, Any] | None" = None,
-    ) -> int:
-        """Run the batch right here, right now.
-
-        The ambient collector (if any) is already active in this
-        process, so the carrier is not needed: spans record directly.
-        """
+    def submit(self, jobs: Sequence[Any], indices: Sequence[int]) -> int:
+        """Run the batch right here, right now."""
         batch_id = self._next_batch
         self._next_batch += 1
-        hits_before = snapshot_hits_total()
-        start = time.perf_counter()
-        results = [run_job(job, index) for job, index in zip(jobs, indices)]
+        results, hits, seconds = run_batch_jobs(jobs)
         self._completed.append(
             CompletedBatch(
                 batch_id=batch_id,
                 results=results,
-                wires=None,
-                snapshot_hits=snapshot_hits_total() - hits_before,
-                seconds=time.perf_counter() - start,
+                snapshot_hits=hits,
+                seconds=seconds,
             )
         )
         return batch_id

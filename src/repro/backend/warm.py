@@ -44,7 +44,6 @@ import time
 from collections import deque
 from typing import Any, Sequence
 
-from repro import obs
 from repro.backend import frames
 from repro.backend.base import (
     GLOBAL_STATS,
@@ -129,29 +128,16 @@ def _worker_main(read_fd: int, write_fd: int, close_fds: Sequence[int]) -> None:
             try:
                 extras = iter(batch.extras)
                 jobs = []
-                indices = []
-                job_tags = (
-                    batch.tags
-                    if batch.tags is not None
-                    else ((),) * len(batch.entries)
-                )
-                for (template_id, seed, index), tags in zip(
-                    batch.entries, job_tags
-                ):
+                for template_id, seed, _ in batch.entries:
                     if template_id == frames.EXTRA_JOB:
-                        job = next(extras)
+                        jobs.append(next(extras))
                     else:
                         config, benchmark = templates[template_id]
-                        job = MeasurementJob(
+                        jobs.append(MeasurementJob(
                             config=dataclasses.replace(config, seed=seed),
                             benchmark=benchmark,
-                            tags=tags,
-                        )
-                    jobs.append(job)
-                    indices.append(index)
-                results, wires, hits, seconds = run_batch_jobs(
-                    jobs, indices, batch.carrier
-                )
+                        ))
+                results, hits, seconds = run_batch_jobs(jobs)
             # Exception only: KeyboardInterrupt/SystemExit must kill
             # the worker (Ctrl-C signals the whole process group), not
             # come home disguised as a batch failure.
@@ -167,9 +153,7 @@ def _worker_main(read_fd: int, write_fd: int, close_fds: Sequence[int]) -> None:
             frames.write_frame(
                 write_fd,
                 frames.RESULTS,
-                frames.encode_results(
-                    batch.batch_id, hits, seconds, results, wires
-                ),
+                frames.encode_results(batch.batch_id, hits, seconds, results),
             )
     except (BrokenPipeError, EndOfStream):
         pass  # coordinator is gone; nothing left to report to
@@ -275,12 +259,6 @@ class WarmBackend(ExecutionBackend):
     # -- lifecycle ----------------------------------------------------------
 
     def _spawn(self, index: int) -> _Worker:
-        with obs.span(
-            "backend.worker_spawn", category="backend", worker=index
-        ):
-            return self._spawn_inner(index)
-
-    def _spawn_inner(self, index: int) -> _Worker:
         to_read, to_write = os.pipe()
         from_read, from_write = os.pipe()
         # Everything the child must NOT hold open: its own pipes'
@@ -328,21 +306,14 @@ class WarmBackend(ExecutionBackend):
         """
         self.stats.worker_restarts += 1
         GLOBAL_STATS.worker_restarts += 1
-        with obs.span(
-            "backend.worker_revive",
-            category="backend",
-            worker=worker.index,
-            orphaned_batches=len(worker.inflight),
-        ):
-            if worker.proc.is_alive():
-                worker.proc.kill()
-            worker.close()
-            worker.proc.join(timeout=1.0)
-            orphaned = sorted(worker.inflight)
-            for batch_id in orphaned:
-                self._dispatched_at.pop(batch_id, None)
-            replacement = self._spawn(worker.index)
-            self._workers[worker.index] = replacement
+        if worker.proc.is_alive():
+            worker.proc.kill()
+        worker.close()
+        worker.proc.join(timeout=1.0)
+        orphaned = sorted(worker.inflight)
+        for batch_id in orphaned:
+            self._dispatched_at.pop(batch_id, None)
+        self._workers[worker.index] = self._spawn(worker.index)
         self._redispatch.extend(orphaned)
 
     @property
@@ -479,9 +450,7 @@ class WarmBackend(ExecutionBackend):
             return
         if kind != frames.RESULTS:
             raise FrameError(f"coordinator got unexpected frame kind {kind}")
-        batch_id, hits, seconds, results, wires = frames.decode_results(
-            payload
-        )
+        batch_id, hits, seconds, results = frames.decode_results(payload)
         worker.inflight.discard(batch_id)
         self._dispatched_at.pop(batch_id, None)
         if self._pending.pop(batch_id, None) is None:
@@ -502,7 +471,6 @@ class WarmBackend(ExecutionBackend):
             CompletedBatch(
                 batch_id=batch_id,
                 results=results,
-                wires=wires,
                 snapshot_hits=hits,
                 seconds=seconds,
                 worker=worker.index,
@@ -613,12 +581,7 @@ class WarmBackend(ExecutionBackend):
     def inflight(self) -> int:
         return len(self._pending) + len(self._completed)
 
-    def submit(
-        self,
-        jobs: Sequence[Any],
-        indices: Sequence[int],
-        carrier: "dict[str, Any] | None" = None,
-    ) -> int:
+    def submit(self, jobs: Sequence[Any], indices: Sequence[int]) -> int:
         batch_id = self._next_batch
         self._next_batch += 1
         entries: list[tuple[int, int, int]] = []
@@ -630,15 +593,7 @@ class WarmBackend(ExecutionBackend):
                 extras.append(job)
             else:
                 entries.append((template_id, job.config.seed, index))
-        tags = None
-        if carrier is not None:
-            # Tracing: worker-side job spans need each job's tags.
-            tags = tuple(
-                tuple(getattr(job, "tags", ()) or ()) for job in jobs
-            )
-        payload = frames.encode_batch(
-            batch_id, entries, extras=extras, carrier=carrier, tags=tags
-        )
+        payload = frames.encode_batch(batch_id, entries, extras=extras)
         self._pending[batch_id] = _PendingBatch(payload, len(entries))
         self._pump()
         self._dispatch(batch_id)

@@ -11,8 +11,7 @@ Usage::
     python -m repro serve --port 7471 --workers 2
     python -m repro submit figure4 --repeats 1 --wait
     python -m repro status job-1-abcdef01 / --metrics / --health
-    python -m repro trace figure4 --repeats 1 --trace-out trace.json
-    python -m repro metrics
+    python -m repro trace figure4 --repeats 1
 
 ``reproduce`` accepts ``--jobs N`` to spread measurements over N worker
 processes (results are bit-identical to a serial run), ``--backend``
@@ -33,20 +32,20 @@ a crash-safe sidecar under ``--journal-dir`` so a killed run restarts
 where it left off; ``submit``/``status`` retry transient service
 errors by default (``--no-retry`` opts out).
 
-Observability (:mod:`repro.obs`): ``trace`` runs an artifact with
-tracing on and prints the per-layer time/retirement breakdown;
-``--trace-out`` (on ``trace``, ``reproduce`` and ``serve``) writes a
-Chrome ``trace_event`` JSON loadable in Perfetto; ``trace --json``
-emits the same breakdown machine-readably; ``metrics`` dumps the
-process-wide unified registry; the top-level ``--log-json`` flag
-(or ``REPRO_LOG``) turns on line-delimited JSON logs on stderr —
-stdout stays machine-readable throughout.
+Observability (:mod:`repro.obs`): ``trace`` runs an artifact (or
+``all``) exactly as ``reproduce`` does with a timer at every layer
+boundary, and prints each scope's self time, closing to the traced
+wall time, with the run's exact counts (``--json`` prints the same
+data as JSON); the top-level ``--log-json`` flag (or ``REPRO_LOG``)
+turns on line-delimited JSON logs on stderr — stdout stays
+machine-readable throughout.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import sys
 from typing import Sequence
@@ -149,11 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="persist measurement results under DIR (content-addressed)",
     )
     reproduce.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="record spans for this run and write a Chrome trace_event "
-             "JSON to PATH (artifact output is unchanged)",
-    )
-    reproduce.add_argument(
         "--chaos", default=None, metavar="SPEC",
         help="inject deterministic faults, e.g. 'worker-kill:p=0.05,"
              "seed=7' (REPRO_CHAOS; see docs/resilience.md; results "
@@ -178,17 +172,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="run one artifact with tracing on; print the per-layer "
-             "time/retirement breakdown",
+        help="run one artifact (or 'all') with a timer at every layer "
+             "boundary; print where the time went",
     )
     trace.add_argument(
-        "artifact", help="artifact id from 'repro list'"
+        "artifact",
+        help="artifact id from 'repro list', or 'all' for everything",
     )
     trace.add_argument("--repeats", type=int, default=None)
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (spans cross the worker boundary)",
+        help="worker processes (the workers run untraced)",
     )
     trace.add_argument(
         "--backend", default=None, metavar="NAME",
@@ -197,11 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
         help="cap on jobs shipped per dispatched batch under --jobs",
-    )
-    trace.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="also write the Chrome trace_event JSON to PATH "
-             "(load it in Perfetto or chrome://tracing)",
     )
     trace.add_argument(
         "--chaos", default=None, metavar="SPEC",
@@ -213,14 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--json", action="store_true",
-        help="emit the per-layer breakdown as JSON on stdout (same "
-             "numbers as the table)",
-    )
-
-    sub.add_parser(
-        "metrics",
-        help="print this process's unified metrics registry "
-             "(Prometheus text format)",
+        help="emit the scope table as JSON on stdout (same numbers "
+             "as the table)",
     )
 
     measure = sub.add_parser(
@@ -285,11 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--request-timeout", type=float, default=60.0, metavar="SECONDS",
         help="per-request server-side handler timeout",
-    )
-    serve.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write the service's Chrome trace_event JSON to PATH on "
-             "graceful shutdown",
     )
     serve.add_argument(
         "--slow-job-threshold", type=float, default=30.0, metavar="SECONDS",
@@ -385,6 +364,18 @@ def _run_artifact(artifact: str, repeats: int | None, seed: int) -> int:
     return 0
 
 
+def _artifact_names(artifact: str) -> "list[str] | None":
+    """The artifacts ``artifact`` names (``all`` is every one), or None
+    after reporting an unknown id on stderr."""
+    if artifact == "all":
+        return list(ALL_EXPERIMENTS)
+    if artifact not in ALL_EXPERIMENTS:
+        known = ", ".join(ALL_EXPERIMENTS)
+        print(f"unknown artifact {artifact!r}; known: {known}", file=sys.stderr)
+        return None
+    return [artifact]
+
+
 def _print_cache_summary(before: "tuple[int, int, int] | None") -> None:
     """One stderr line of cache accounting for this invocation."""
     cache = default_cache()
@@ -403,23 +394,17 @@ def _cmd_reproduce(
     artifact: str,
     repeats: int | None,
     seed: int,
-    trace_out: str | None = None,
     resume: bool = False,
     journal_dir: str = ".repro-journal",
 ) -> int:
-    from repro import obs
-    from repro.obs.export import write_chrome_trace
-
     cache = default_cache()
     before = (
         (cache.stats.hits, cache.stats.misses, cache.stats.disk_hits)
         if cache is not None else None
     )
-    if artifact != "all" and artifact not in ALL_EXPERIMENTS:
-        known = ", ".join(ALL_EXPERIMENTS)
-        print(f"unknown artifact {artifact!r}; known: {known}", file=sys.stderr)
+    names = _artifact_names(artifact)
+    if names is None:
         return 2
-    names = list(ALL_EXPERIMENTS) if artifact == "all" else [artifact]
     journal = None
     if resume:
         from repro.exec import SweepJournal, journal_path, set_active_journal
@@ -433,19 +418,11 @@ def _cmd_reproduce(
             file=sys.stderr,
         )
         set_active_journal(journal)
-    collector = obs.TraceCollector() if trace_out is not None else None
     code: "int | None" = None
     try:
         run_code = 0
-        with contextlib.ExitStack() as stack:
-            if collector is not None:
-                stack.enter_context(obs.activate(collector))
-                stack.enter_context(
-                    obs.span("reproduce", category="cli", artifact=artifact,
-                             seed=seed)
-                )
-            for name in names:
-                run_code = _run_artifact(name, repeats, seed) or run_code
+        for name in names:
+            run_code = _run_artifact(name, repeats, seed) or run_code
         code = run_code
     finally:
         if journal is not None:
@@ -456,45 +433,26 @@ def _cmd_reproduce(
             else:
                 journal.close()
     _print_cache_summary(before)
-    if collector is not None:
-        write_chrome_trace(trace_out, collector)
-        print(
-            f"trace: {len(collector)} span(s) written to {trace_out}",
-            file=sys.stderr,
-        )
     return code
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run one artifact under a fresh collector; print the breakdown.
+    """Run artifacts as ``reproduce`` does, timing every layer boundary.
 
-    Retirement tracing is enabled so measurement spans carry simulated
-    instruction counts; the artifact's own report is suppressed — this
-    subcommand answers "where did the time go", not "what was measured".
+    The artifacts' text is rendered as usual and discarded: this
+    subcommand answers "where did the time go", not "what was
+    measured".  Table and JSON show the same payload.
     """
-    from repro import obs
-    from repro.obs.export import write_chrome_trace
-    from repro.obs.report import layer_breakdown_payload, render_layer_payload
+    from repro.obs.scopes import ScopeTracer, render
 
-    if args.artifact not in ALL_EXPERIMENTS:
-        known = ", ".join(ALL_EXPERIMENTS)
-        print(f"unknown artifact {args.artifact!r}; known: {known}",
-              file=sys.stderr)
+    names = _artifact_names(args.artifact)
+    if names is None:
         return 2
-    collector = obs.TraceCollector()
-    with obs.activate(collector), obs.enable_retirements():
-        with obs.span(
-            "artifact", category="cli",
-            artifact=args.artifact, repeats=args.repeats, seed=args.seed,
-        ) as sp:
-            result = run_artifact(
-                args.artifact, repeats=args.repeats, seed=args.seed
-            )
-            sp.set(notes=len(result.notes))
-    # Table and JSON render the SAME payload — one code path, so the
-    # two views cannot drift (pinned by tests/obs/test_report.py).
-    payload = layer_breakdown_payload(collector.spans)
-    if getattr(args, "json", False):
+    with contextlib.redirect_stdout(io.StringIO()), ScopeTracer() as tracer:
+        for name in names:
+            _run_artifact(name, args.repeats, args.seed)
+    payload = tracer.payload()
+    if args.json:
         print(json.dumps({
             "artifact": args.artifact,
             "seed": args.seed,
@@ -503,20 +461,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         }, indent=2, sort_keys=True))
     else:
         print(f"trace of {args.artifact} (seed {args.seed}):")
-        print(render_layer_payload(payload))
-    if args.trace_out is not None:
-        write_chrome_trace(args.trace_out, collector)
-        print(
-            f"trace: {len(collector)} span(s) written to {args.trace_out}",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def _cmd_metrics() -> int:
-    from repro.obs.metrics import default_registry
-
-    sys.stdout.write(default_registry().render())
+        print(render(payload))
     return 0
 
 
@@ -581,7 +526,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         queue_depth=args.queue_depth,
         request_timeout=args.request_timeout,
-        trace_out=args.trace_out,
         slow_job_threshold=(
             args.slow_job_threshold if args.slow_job_threshold > 0 else None
         ),
@@ -590,14 +534,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro import obs
     from repro.service import ServiceClient, ServiceError
 
-    # The trace id is minted here, where the work enters the system;
-    # the service threads it through queue, scheduler, executor and
-    # measurement spans.  Reported on stderr: stdout's one-line
-    # acknowledgement is machine-readable and stays stable.
-    trace_id = obs.new_trace_id()
     try:
         with ServiceClient(
             args.host, args.port, retry=not args.no_retry
@@ -610,10 +548,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 repeats=args.repeats,
                 seed=args.seed,
                 priority=args.priority,
-                trace_id=trace_id,
-            )
-            print(
-                f"trace: {job.get('trace_id', trace_id)}", file=sys.stderr
             )
             if not args.wait:
                 print(f"submitted {job['id']} ({job['state']})")
@@ -735,13 +669,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                 enabled=not args.no_cache, disk_dir=args.cache_dir
             )
         return _cmd_reproduce(
-            args.artifact, args.repeats, args.seed, trace_out=args.trace_out,
+            args.artifact, args.repeats, args.seed,
             resume=args.resume, journal_dir=args.journal_dir,
         )
     if args.command == "trace":
         return _cmd_trace(args)
-    if args.command == "metrics":
-        return _cmd_metrics()
     if args.command == "measure":
         return _cmd_measure(args)
     if args.command == "advise":

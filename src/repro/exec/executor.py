@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Protocol, Sequence, runtime_checkable
 
-from repro import obs
 from repro.analysis.table import ResultTable
 from repro.backend.base import ExecutionBackend
 from repro.backend.inline import InlineBackend
@@ -137,46 +136,39 @@ class Executor:
         journal = active_journal()
         self.stats.jobs += len(jobs)
         GLOBAL_STATS.jobs += len(jobs)
-        with obs.span("executor.map", category="executor") as sp:
-            results: list[Any] = [None] * len(jobs)
-            pending: list[int] = []
-            tokens: list[str | None] = [None] * len(jobs)
-            want_tokens = self.cache is not None or journal is not None
-            for index, job in enumerate(jobs):
-                token = _token_of(job) if want_tokens else None
-                tokens[index] = token
-                cached = (
-                    self.cache.get(token)
-                    if self.cache is not None and token is not None
-                    else None
-                )
-                if cached is None and journal is not None and token is not None:
-                    # A resumed run: jobs the killed run already
-                    # finished are served from its journal, in plan
-                    # order, byte-identical to re-running them.
-                    cached = journal.get(token)
-                if cached is not None:
-                    results[index] = cached
-                    self.stats.cache_hits += 1
-                    GLOBAL_STATS.cache_hits += 1
-                else:
-                    pending.append(index)
-            self.stats.executed += len(pending)
-            GLOBAL_STATS.executed += len(pending)
-            sp.set(
-                backend=self.backend.name,
-                jobs=len(jobs),
-                cache_hits=len(jobs) - len(pending),
-                executed=len(pending),
+        results: list[Any] = [None] * len(jobs)
+        pending: list[int] = []
+        tokens: list[str | None] = [None] * len(jobs)
+        want_tokens = self.cache is not None or journal is not None
+        for index, job in enumerate(jobs):
+            token = _token_of(job) if want_tokens else None
+            tokens[index] = token
+            cached = (
+                self.cache.get(token)
+                if self.cache is not None and token is not None
+                else None
             )
-            if pending:
-                fresh = self._execute([jobs[i] for i in pending], pending, journal)
-                for index, result in zip(pending, fresh):
-                    results[index] = result
-                    if self.cache is not None and tokens[index] is not None:
-                        self.cache.put(tokens[index], result)
-                    if journal is not None and tokens[index] is not None:
-                        journal.append(tokens[index], result)
+            if cached is None and journal is not None and token is not None:
+                # A resumed run: jobs the killed run already
+                # finished are served from its journal, in plan
+                # order, byte-identical to re-running them.
+                cached = journal.get(token)
+            if cached is not None:
+                results[index] = cached
+                self.stats.cache_hits += 1
+                GLOBAL_STATS.cache_hits += 1
+            else:
+                pending.append(index)
+        self.stats.executed += len(pending)
+        GLOBAL_STATS.executed += len(pending)
+        if pending:
+            fresh = self._execute([jobs[i] for i in pending], pending, journal)
+            for index, result in zip(pending, fresh):
+                results[index] = result
+                if self.cache is not None and tokens[index] is not None:
+                    self.cache.put(tokens[index], result)
+                if journal is not None and tokens[index] is not None:
+                    journal.append(tokens[index], result)
         if progress is not None:
             for index in range(len(jobs)):
                 progress(index)
@@ -187,8 +179,7 @@ class Executor:
     ) -> list[Any]:
         """Run jobs on the backend, returning results in the given order.
 
-        ``indices`` are the jobs' positions in the original mapping,
-        used to label per-job trace spans.
+        ``indices`` are the jobs' positions in the original mapping.
         """
         on_batch = None
         if journal is not None:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro import obs
 from repro.analysis.table import ResultTable
 from repro.core.benchmarks import (
     Benchmark,
@@ -136,59 +135,8 @@ class MeasurementJob:
     tags: tuple[tuple[str, Any], ...] = ()
 
     def execute(self) -> MeasurementResult:
-        """Run the measurement (boots a fresh, seeded machine).
-
-        Under an active trace this opens a ``measurement`` span; with
-        retirement tracing enabled (``repro trace``) it additionally
-        attaches a :class:`repro.trace.Tracer` and links its per-phase
-        totals and top path summaries as span attributes.  Both are
-        strict observers: the returned result is byte-identical either
-        way.  With no collector active neither can be observed, so the
-        measurement runs directly.
-        """
-        if obs.current_collector() is None:
-            return run_measurement(self.config, self.benchmark.build())
-        with obs.span(
-            "measure",
-            category="measurement",
-            processor=self.config.processor,
-            infra=self.config.infra,
-            pattern=self.config.pattern.short,
-            mode=self.config.mode.value,
-            benchmark=self.benchmark.identity,
-            seed=self.config.seed,
-        ) as sp:
-            tracer = None
-            if obs.retirements_enabled():
-                from repro.trace import Tracer
-
-                tracer = Tracer()
-            result = run_measurement(
-                self.config, self.benchmark.build(), tracer=tracer
-            )
-            sp.set(
-                measured=result.measured,
-                expected=result.expected,
-                ticks=result.ticks,
-            )
-            if tracer is not None:
-                sp.set(
-                    instructions=tracer.total_instructions(),
-                    instructions_by_phase={
-                        phase: tracer.total_instructions(phase=phase)
-                        for phase in ("setup", "measure", "benchmark")
-                    },
-                    top_paths=[
-                        {
-                            "path": summary.label,
-                            "mode": summary.mode.value,
-                            "instructions": summary.instructions,
-                            "occurrences": summary.occurrences,
-                        }
-                        for summary in tracer.by_path()[:5]
-                    ],
-                )
-        return result
+        """Run the measurement (boots a fresh, seeded machine)."""
+        return run_measurement(self.config, self.benchmark.build())
 
     def cache_token(self) -> str:
         """Content address: config factors + benchmark identity.

@@ -17,8 +17,7 @@ Enabling, in precedence order:
 * otherwise the default logger is a no-op.
 
 Loggers can be bound (:meth:`StructuredLogger.bind`) with fields that
-every subsequent line carries — the service binds its port, a traced
-run binds its ``trace_id``.
+every subsequent line carries.
 """
 
 from __future__ import annotations

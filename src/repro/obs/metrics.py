@@ -11,10 +11,8 @@ duration histogram per artifact).
 This module is the one registry definition for the whole stack: the
 service front-end, the scheduler, the executors and the result cache
 all register into an instrument set built by
-:func:`build_unified_registry`, so the service's ``metrics`` request
-and the ``repro metrics`` CLI dump render the same inventory.  (It
-started life as ``repro.service.metrics``; that import path remains as
-a compatibility shim.)
+:func:`build_unified_registry`, which the service's ``metrics``
+request renders.
 
 ``MetricsRegistry.render()`` produces the Prometheus text exposition
 format (``# HELP`` / ``# TYPE`` then samples).  Instruments are plain
@@ -361,11 +359,9 @@ def build_unified_registry(
 
     Service counters and queue gauges, executor/cache accounting read
     live from the :mod:`repro.exec` engine (so warm-up work that
-    predates a service is visible too), span accounting from
-    :mod:`repro.obs.spans`, and per-artifact duration histograms.
-    The service's ``metrics`` request and the ``repro metrics`` CLI
-    dump both render registries built here, so their inventories are
-    identical by construction.
+    predates a service is visible too), and per-artifact duration
+    histograms.  The service's ``metrics`` request renders a registry
+    built here.
     """
     from repro.exec.cache import default_cache
 
@@ -585,50 +581,6 @@ def build_unified_registry(
         "Boot images dropped by snapshot-store LRU bounds (this process).",
         fn=_snapshot_stat("evictions"),
     )
-
-    def _span_count(key: str) -> Callable[[], float]:
-        def read() -> float:
-            from repro.obs.spans import SPAN_COUNTS
-
-            return float(SPAN_COUNTS[key])
-        return read
-
-    registry.gauge(
-        "repro_spans_started",
-        "Trace spans opened in this process.",
-        fn=_span_count("started"),
-    )
-    registry.gauge(
-        "repro_spans_dropped",
-        "Trace spans dropped by collector bounds.",
-        fn=_span_count("dropped"),
-    )
     _live_registries.add(registry)
     return registry
 
-
-#: Backwards-compatible name: the service's registry *is* the unified
-#: registry (PR 2 callers imported this from ``repro.service.metrics``).
-build_service_registry = build_unified_registry
-
-_default_registry: MetricsRegistry | None = None
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide unified registry (what ``repro metrics`` dumps).
-
-    Built on first use with no queue/running callbacks — outside a
-    service those instruments read 0 — and shared thereafter so
-    in-process work (CLI runs, embedded executors) accumulates into
-    one place.
-    """
-    global _default_registry
-    if _default_registry is None:
-        _default_registry = build_unified_registry()
-    return _default_registry
-
-
-def reset_default_registry() -> None:
-    """Drop the process-wide registry (test hook)."""
-    global _default_registry
-    _default_registry = None

@@ -26,7 +26,7 @@ Five layers, bottom-up:
 * **client** (:mod:`repro.service.client`) — a blocking client, the
   substrate of the ``repro serve`` / ``repro submit`` /
   ``repro status`` CLI subcommands;
-* **metrics** (:mod:`repro.service.metrics`) — counters, gauges and
+* **metrics** (:mod:`repro.obs.metrics`) — counters, gauges and
   latency histograms (queue depth, jobs completed/failed, cache hit
   rate from :class:`~repro.exec.cache.CacheStats`) rendered in
   Prometheus text form via the ``metrics`` request.
@@ -46,19 +46,18 @@ Typical embedded use (tests do exactly this)::
             print(result["report"])
 """
 
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+)
 from repro.service.client import (
     RetryBudgetExceeded,
     ServiceClient,
     ServiceConnectionError,
     ServiceError,
     submit_with_retry,
-)
-from repro.service.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    build_service_registry,
 )
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -116,7 +115,6 @@ __all__ = [
     "StatusRequest",
     "SubmitRequest",
     "artifact_job",
-    "build_service_registry",
     "parse_request",
     "plan_job",
     "run_service",

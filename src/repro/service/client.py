@@ -235,21 +235,14 @@ class ServiceClient:
         repeats: int | None = None,
         seed: int = 0,
         priority: int = protocol.DEFAULT_PRIORITY,
-        trace_id: str | None = None,
     ) -> dict[str, Any]:
-        """Submit a registered artifact; returns the job snapshot.
-
-        Pass ``trace_id`` to correlate the served execution's spans
-        with the caller's own telemetry (see :mod:`repro.obs`).
-        """
+        """Submit a registered artifact; returns the job snapshot."""
         fields: dict[str, Any] = {
             "kind": "artifact", "artifact": artifact,
             "seed": seed, "priority": priority,
         }
         if repeats is not None:
             fields["repeats"] = repeats
-        if trace_id is not None:
-            fields["trace_id"] = trace_id
         payload = self.call("submit", **fields)
         return payload["job"]
 
@@ -257,14 +250,11 @@ class ServiceClient:
         self,
         plan: Mapping[str, Any],
         priority: int = protocol.DEFAULT_PRIORITY,
-        trace_id: str | None = None,
     ) -> dict[str, Any]:
         """Submit a declarative measurement plan; returns the snapshot."""
         fields: dict[str, Any] = {
             "kind": "plan", "plan": dict(plan), "priority": priority,
         }
-        if trace_id is not None:
-            fields["trace_id"] = trace_id
         payload = self.call("submit", **fields)
         return payload["job"]
 
@@ -322,7 +312,6 @@ def submit_with_retry(
     seed: int = 0,
     priority: int = protocol.DEFAULT_PRIORITY,
     attempts: int = 5,
-    trace_id: str | None = None,
 ) -> dict[str, Any]:
     """Submit, honouring ``queue-full`` backpressure up to ``attempts``.
 
@@ -338,7 +327,6 @@ def submit_with_retry(
                 repeats=repeats,
                 seed=seed,
                 priority=priority,
-                trace_id=trace_id,
             )
         except ServiceError as exc:
             if exc.code != protocol.E_QUEUE_FULL or attempt == attempts - 1:

@@ -107,11 +107,6 @@ class Request:
         return wire
 
 
-#: ``trace_id`` values are free-form but bounded; ids minted by
-#: :func:`repro.obs.new_trace_id` are 32 hex chars.
-MAX_TRACE_ID_LENGTH = 128
-
-
 @dataclass(frozen=True)
 class SubmitRequest(Request):
     """Submit work: a named paper artifact or a declarative plan.
@@ -121,13 +116,6 @@ class SubmitRequest(Request):
     :class:`~repro.exec.plan.MeasurementPlan` (``plan`` holds a
     ``{"jobs": [{"config": {...}, "benchmark": {...}, "tags": {...}}]}``
     mapping — see :func:`repro.service.scheduler.plan_job`).
-
-    ``trace_id`` is an optional distributed-tracing passthrough: the
-    server threads it through the job's queue-wait, scheduler,
-    executor and measurement spans (:mod:`repro.obs`), so a client can
-    correlate its own telemetry with the served execution.  The field
-    is additive — absent on the wire when unset, ignored by older
-    servers — so the protocol version is unchanged.
     """
 
     op: ClassVar[str] = "submit"
@@ -137,7 +125,6 @@ class SubmitRequest(Request):
     seed: int = 0
     plan: Mapping[str, Any] | None = None
     priority: int = DEFAULT_PRIORITY
-    trace_id: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("artifact", "plan"):
@@ -153,12 +140,6 @@ class SubmitRequest(Request):
             )
         if self.repeats is not None and self.repeats < 1:
             raise _bad(f"repeats must be >= 1, got {self.repeats}")
-        if self.trace_id is not None and (
-            not self.trace_id or len(self.trace_id) > MAX_TRACE_ID_LENGTH
-        ):
-            raise _bad(
-                f"trace_id must be 1..{MAX_TRACE_ID_LENGTH} characters"
-            )
 
     @classmethod
     def from_wire(cls, data: Mapping[str, Any]) -> "SubmitRequest":
@@ -173,7 +154,6 @@ class SubmitRequest(Request):
             seed=_get_int(data, "seed", 0),
             plan=plan,
             priority=_get_int(data, "priority", DEFAULT_PRIORITY),
-            trace_id=_get_str(data, "trace_id"),
         )
 
     def to_wire(self) -> dict[str, Any]:
@@ -189,8 +169,6 @@ class SubmitRequest(Request):
             wire["plan"] = dict(self.plan)
         if self.priority != DEFAULT_PRIORITY:
             wire["priority"] = self.priority
-        if self.trace_id is not None:
-            wire["trace_id"] = self.trace_id
         return wire
 
 

@@ -34,11 +34,10 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro import obs
 from repro.errors import ReproError
 from repro.exec.cache import stable_token
 from repro.obs.logging import StructuredLogger, get_logger
-from repro.service import metrics as metrics_mod
+from repro.obs.metrics import MetricsRegistry
 from repro.service.protocol import DEFAULT_PRIORITY
 from repro.chaos import should_fire as chaos_should_fire
 from repro.service.queue import JobQueue, QueueFull
@@ -82,12 +81,6 @@ class JobRecord:
     error: str | None = None
     #: How many submissions this record absorbed beyond the first.
     coalesced: int = 0
-    #: Trace identity minted at (first) submission; queue-wait and
-    #: execution spans parent onto it.
-    trace: "obs.TraceContext | None" = None
-    #: Collector-timebase timestamp of admission (for the retroactive
-    #: queue-wait span).
-    enqueued_us: int | None = None
     #: Artifact label for the per-artifact duration histogram, if any.
     artifact: str | None = None
     #: The slow-job watchdog warns once per record.
@@ -106,8 +99,6 @@ class JobRecord:
             "coalesced": self.coalesced,
             "age_seconds": round(now - self.submitted_at, 6),
         }
-        if self.trace is not None:
-            info["trace_id"] = self.trace.trace_id
         if self.started_at is not None:
             end = self.finished_at if self.finished_at is not None else now
             info["run_seconds"] = round(end - self.started_at, 6)
@@ -145,8 +136,7 @@ class Scheduler:
         self,
         queue: JobQueue | None = None,
         workers: int = 1,
-        registry: "metrics_mod.MetricsRegistry | None" = None,
-        collector: "obs.TraceCollector | None" = None,
+        registry: MetricsRegistry | None = None,
         logger: StructuredLogger | None = None,
         slow_job_threshold: float | None = 30.0,
         slow_check_interval: float | None = None,
@@ -169,7 +159,6 @@ class Scheduler:
         self.backend = backend
         self.stats = SchedulerStats()
         self.registry = registry
-        self.collector = collector
         self.logger = logger if logger is not None else get_logger()
         self.slow_job_threshold = slow_job_threshold
         self.slow_check_interval = (
@@ -220,17 +209,9 @@ class Scheduler:
         run: Callable[[], Mapping[str, Any]],
         client: str = "anon",
         priority: int = DEFAULT_PRIORITY,
-        trace_id: str | None = None,
         artifact: str | None = None,
     ) -> tuple[JobRecord, bool]:
         """Admit (or coalesce) one job; returns (record, coalesced).
-
-        ``trace_id`` is the client's distributed-tracing id, if it sent
-        one; otherwise a fresh id is minted here.  Every submission —
-        including a coalesced one — records its own ``job.submit``
-        span; a coalesced submission's span points at the record that
-        absorbed it, so one execution span ends up linked to N
-        submission spans.
 
         Raises :class:`~repro.service.queue.QueueFull` under
         backpressure and :class:`SchedulerClosed` during shutdown.
@@ -242,22 +223,6 @@ class Scheduler:
             existing.coalesced += 1
             self.stats.coalesced += 1
             self._count("repro_jobs_coalesced_total")
-            if self.collector is not None:
-                now = self.collector.now_us()
-                self.collector.add_span(
-                    "job.submit", "service", now, now,
-                    trace_id=trace_id,
-                    attributes={
-                        "job": existing.id,
-                        "client": client,
-                        "coalesced": True,
-                        "execution_trace_id": (
-                            existing.trace.trace_id
-                            if existing.trace is not None
-                            else None
-                        ),
-                    },
-                )
             self.logger.info(
                 "job.coalesced", job=existing.id, client=client, kind=kind
             )
@@ -272,21 +237,6 @@ class Scheduler:
             run=run,
             artifact=artifact,
         )
-        if self.collector is not None:
-            now = self.collector.now_us()
-            submit_span = self.collector.add_span(
-                "job.submit", "service", now, now,
-                trace_id=trace_id,
-                attributes={
-                    "job": record.id,
-                    "client": client,
-                    "kind": kind,
-                    "coalesced": False,
-                },
-            )
-            # Queue-wait and execution spans parent onto the submission.
-            record.trace = submit_span.context
-            record.enqueued_us = now
         try:
             if chaos_should_fire("queue-full"):
                 # Simulated backpressure: reject exactly as a saturated
@@ -311,7 +261,6 @@ class Scheduler:
             client=client,
             kind=kind,
             description=description,
-            trace_id=record.trace.trace_id if record.trace else None,
         )
         self._trim_history()
         self._wake.set()
@@ -374,19 +323,8 @@ class Scheduler:
         )
         self._running += 1
         self.stats.executed += 1
-        run = record.run
-        if self.collector is not None and record.trace is not None:
-            now = self.collector.now_us()
-            self.collector.add_span(
-                "job.queue-wait", "queue",
-                record.enqueued_us if record.enqueued_us is not None else now,
-                now,
-                parent=record.trace,
-                attributes={"job": record.id, "priority": record.priority},
-            )
-            run = self._traced_run(record)
         try:
-            record.payload = await asyncio.to_thread(run)
+            record.payload = await asyncio.to_thread(record.run)
         except Exception as exc:
             self._finish(record, JobState.FAILED, error=f"{type(exc).__name__}: {exc}")
             self.stats.failed += 1
@@ -414,35 +352,6 @@ class Scheduler:
                         run_seconds=round(run_seconds, 6),
                         coalesced=record.coalesced,
                     )
-
-    def _traced_run(
-        self, record: JobRecord
-    ) -> Callable[[], Mapping[str, Any]]:
-        """Wrap the job's work in a ``job.execute`` span.
-
-        ``asyncio.to_thread`` copies the submitting context, but the
-        server loop has no ambient collector — so the wrapper activates
-        the scheduler's collector explicitly, parented on the record's
-        submission span.  One record → one execution span, no matter
-        how many submissions it absorbed.
-        """
-        collector, trace = self.collector, record.trace
-
-        def run() -> Mapping[str, Any]:
-            assert collector is not None
-            with obs.activate(collector, context=trace):
-                with obs.span(
-                    "job.execute",
-                    category="scheduler",
-                    job=record.id,
-                    kind=record.kind,
-                    priority=record.priority,
-                ) as sp:
-                    payload = record.run()
-                    sp.set(coalesced=record.coalesced)
-                    return payload
-
-        return run
 
     def _finish(
         self, record: JobRecord, state: JobState, error: str | None = None

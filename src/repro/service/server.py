@@ -22,11 +22,9 @@ import threading
 import time
 from typing import Any
 
-from repro.obs import TraceCollector
-from repro.obs.export import write_chrome_trace
 from repro.obs.logging import StructuredLogger, get_logger
+from repro.obs.metrics import MetricsRegistry, build_unified_registry
 from repro.service import protocol
-from repro.service.metrics import MetricsRegistry, build_unified_registry
 from repro.service.protocol import (
     CancelRequest,
     HealthRequest,
@@ -68,8 +66,6 @@ class MeasurementServer:
         queue_depth: int = 256,
         request_timeout: float = 60.0,
         registry: MetricsRegistry | None = None,
-        collector: TraceCollector | None = None,
-        trace_out: str | None = None,
         logger: StructuredLogger | None = None,
         slow_job_threshold: float | None = 30.0,
         backend: str | None = None,
@@ -84,16 +80,11 @@ class MeasurementServer:
                 running=lambda: self.scheduler.running,
             )
         )
-        # The service always traces (the collector is bounded); the
-        # Chrome trace is only written out when trace_out is set.
-        self.collector = collector if collector is not None else TraceCollector()
-        self.trace_out = trace_out
         self.logger = logger if logger is not None else get_logger()
         self.scheduler = Scheduler(
             queue=queue,
             workers=workers,
             registry=self.registry,
-            collector=self.collector,
             logger=self.logger,
             slow_job_threshold=slow_job_threshold,
             backend=backend,
@@ -126,13 +117,6 @@ class MeasurementServer:
             await self._server.wait_closed()
             self._server = None
         await self.scheduler.shutdown(grace=grace)
-        if self.trace_out is not None:
-            write_chrome_trace(self.trace_out, self.collector)
-            self.logger.info(
-                "trace.written",
-                path=self.trace_out,
-                spans=len(self.collector),
-            )
 
     # -- connection handling ----------------------------------------------
 
@@ -245,7 +229,6 @@ class MeasurementServer:
                 run=run,
                 client=request.client,
                 priority=request.priority,
-                trace_id=request.trace_id,
                 artifact=request.artifact,
             )
         except QueueFull as exc:
@@ -344,7 +327,6 @@ def run_service(
     queue_depth: int = 256,
     request_timeout: float = 60.0,
     announce: bool = True,
-    trace_out: str | None = None,
     logger: StructuredLogger | None = None,
     slow_job_threshold: float | None = 30.0,
     backend: str | None = None,
@@ -356,7 +338,6 @@ def run_service(
         workers=workers,
         queue_depth=queue_depth,
         request_timeout=request_timeout,
-        trace_out=trace_out,
         logger=logger,
         slow_job_threshold=slow_job_threshold,
         backend=backend,

@@ -127,22 +127,12 @@ class TestBatchPayload:
         assert batch.batch_id == 5
         assert batch.entries == tuple(entries)
         assert batch.extras == ()
-        assert batch.carrier is None
-        assert batch.tags is None
 
-    def test_extras_carrier_and_tags_ride_the_tail(self):
+    def test_extras_ride_the_tail(self):
         entries = [(frames.EXTRA_JOB, 0, 4), (2, 11, 5)]
-        carrier = {"trace": "deadbeef", "span": "cafe"}
-        tags = ((("kind", "extra"),), (("seed", 11),))
-        batch = decode_batch(
-            encode_batch(
-                9, entries, extras=("job-obj",), carrier=carrier, tags=tags
-            )
-        )
+        batch = decode_batch(encode_batch(9, entries, extras=("job-obj",)))
         assert batch.entries == tuple(entries)
         assert batch.extras == ("job-obj",)
-        assert batch.carrier == carrier
-        assert batch.tags == tags
 
     def test_entries_are_fixed_width(self):
         base = len(encode_batch(0, []))
@@ -158,17 +148,7 @@ class TestBatchPayload:
 
 class TestResultsPayload:
     def test_round_trip(self):
-        payload = encode_results(
-            3, 17, 0.125, ["r0", "r1"], [{"name": "job"}]
-        )
-        batch_id, hits, seconds, results, wires = decode_results(payload)
+        payload = encode_results(3, 17, 0.125, ["r0", "r1"])
+        batch_id, hits, seconds, results = decode_results(payload)
         assert (batch_id, hits, seconds) == (3, 17, 0.125)
         assert results == ["r0", "r1"]
-        assert wires == [{"name": "job"}]
-
-    def test_none_wires_survive(self):
-        _, _, _, results, wires = decode_results(
-            encode_results(0, 0, 0.0, [], None)
-        )
-        assert results == []
-        assert wires is None

@@ -1,10 +1,10 @@
-"""CLI observability: trace/metrics subcommands, stdout purity.
+"""CLI observability: the trace subcommand, stdout purity.
 
 Several stdout consumers parse the CLI's output (``list --json``,
 ``submit``'s acknowledgement, artifact reports that are byte-compared
 against local runs), so every diagnostic — cache summaries, structured
-logs, trace confirmations — must land on stderr, and enabling tracing
-must not change artifact output by a byte.
+logs — must land on stderr, and tracing must not change artifact
+output by a byte.
 """
 
 import json
@@ -13,8 +13,10 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.obs.export import validate_trace_file
+from repro.exec import cache as cache_mod
+from repro.experiments import ALL_EXPERIMENTS
 from repro.obs.logging import reset_logging
+from repro.obs.scopes import ScopeTracer
 
 
 @pytest.fixture(autouse=True)
@@ -25,44 +27,49 @@ def _fresh_logging(monkeypatch):
     reset_logging()
 
 
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty result cache, so the traced run measures every job."""
+    monkeypatch.setattr(cache_mod, "_default", cache_mod.ResultCache())
+
+
 class TestTraceCommand:
-    def test_breakdown_table(self, capsys):
-        # A fresh seed so the shared result cache can't absorb the jobs
-        # (cache hits skip measurement spans by design).
+    def test_breakdown_table(self, fresh_cache, capsys):
         assert main(["trace", "figure4", "--repeats", "1",
                      "--seed", "11"]) == 0
         out = capsys.readouterr().out
         assert "trace of figure4" in out
-        assert "layer" in out and "instructions" in out
-        assert "measurement" in out
+        assert "scope" in out and "self (s)" in out
+        assert re.search(r"^core\.run_measurement +[1-9]", out, re.MULTILINE)
         assert "traced wall time:" in out
+        assert "exact counts:" in out
 
-    def test_breakdown_total_matches_wall_time_within_5_percent(self, capsys):
+    def test_breakdown_total_matches_wall_time_within_5_percent(
+        self, fresh_cache, capsys
+    ):
         assert main(["trace", "figure4", "--repeats", "1"]) == 0
         out = capsys.readouterr().out
-        total_row = next(
-            line for line in out.splitlines() if line.startswith("total")
-        )
-        accounted = float(total_row.split()[2])
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines)
+                     if line.startswith("scope")) + 1
+        end = next(i for i, line in enumerate(lines)
+                   if line.startswith("unattributed"))
+        accounted = sum(float(line.split()[2]) for line in lines[start:end])
+        accounted += float(lines[end].split()[1])
         wall = float(
             re.search(r"traced wall time: ([0-9.]+) s", out).group(1)
         )
         assert accounted == pytest.approx(wall, rel=0.05)
 
-    def test_trace_out_writes_valid_chrome_trace(self, tmp_path, capsys):
-        target = tmp_path / "trace.json"
-        # A fresh seed so the shared result cache can't absorb the jobs
-        # (cache hits skip measurement spans by design).
-        assert main([
-            "trace", "figure4", "--repeats", "1", "--seed", "7",
-            "--trace-out", str(target),
-        ]) == 0
-        captured = capsys.readouterr()
-        assert str(target) not in captured.out  # confirmation on stderr
-        assert str(target) in captured.err
-        assert validate_trace_file(target) == []
-        events = json.loads(target.read_text())["traceEvents"]
-        assert {e["cat"] for e in events} >= {"cli", "measurement"}
+    def test_all_prints_every_artifacts_inclusive_time(self, capsys):
+        assert main(["trace", "all", "--repeats", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("trace of all (seed 0):")
+        lines = out.splitlines()
+        start = lines.index("artifacts (inclusive s):") + 1
+        rows = [line.split() for line in lines[start:start + len(ALL_EXPERIMENTS)]]
+        assert [row[0] for row in rows] == list(ALL_EXPERIMENTS)
+        assert all(float(row[1]) >= 0.0 for row in rows)
 
     def test_unknown_artifact(self, capsys):
         assert main(["trace", "nope"]) == 2
@@ -71,32 +78,6 @@ class TestTraceCommand:
     def test_invalid_repeats_rejected(self, capsys):
         assert main(["trace", "figure4", "--repeats", "0"]) == 2
         assert "repeats must be >= 1" in capsys.readouterr().err
-
-
-class TestMetricsCommand:
-    def test_dumps_unified_registry(self, capsys):
-        assert main(["metrics"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_jobs_submitted_total counter" in out
-        assert "repro_executor_jobs" in out
-        assert "repro_spans_started" in out
-        assert "repro_artifact_duration_seconds" in out
-
-    def test_matches_service_registry_inventory(self, capsys):
-        from repro.obs.metrics import build_unified_registry
-
-        assert main(["metrics"]) == 0
-        cli_names = {
-            line.split()[2]
-            for line in capsys.readouterr().out.splitlines()
-            if line.startswith("# TYPE")
-        }
-        service_names = {
-            line.split()[2]
-            for line in build_unified_registry().render().splitlines()
-            if line.startswith("# TYPE")
-        }
-        assert cli_names == service_names
 
 
 class TestStdoutPurity:
@@ -112,17 +93,25 @@ class TestStdoutPurity:
         assert main(["list", "--json"]) == 0
         json.loads(capsys.readouterr().out)
 
-    def test_reproduce_stdout_identical_with_tracing(self, tmp_path, capsys):
+    def test_reproduce_stdout_identical_with_tracing(
+        self, monkeypatch, capsys
+    ):
         assert main(["reproduce", "figure4", "--repeats", "1"]) == 0
         plain = capsys.readouterr().out
-        assert main([
-            "reproduce", "figure4", "--repeats", "1",
-            "--trace-out", str(tmp_path / "trace.json"),
-        ]) == 0
+        # A fresh cache, so the traced run measures everything again.
+        monkeypatch.setattr(cache_mod, "_default", cache_mod.ResultCache())
+        with ScopeTracer():
+            assert main(["reproduce", "figure4", "--repeats", "1"]) == 0
         traced = capsys.readouterr()
         assert traced.out == plain  # byte-identical artifact output
-        assert "trace:" in traced.err
-        assert "cache:" in traced.err
+        assert "cache: 0 hits" in traced.err
+
+    def test_trace_json_is_the_only_stdout(self, capsys):
+        assert main(["--log-json", "trace", "figure4", "--repeats", "1",
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["artifact"] == "figure4"
+        assert payload["scopes"]["core.run_measurement"]["calls"] >= 0
 
     def test_cache_summary_stays_on_stderr(self, capsys):
         assert main(["reproduce", "figure4", "--repeats", "1"]) == 0
@@ -144,4 +133,4 @@ class TestSubmitPurity:
         lines = captured.out.splitlines()
         assert len(lines) == 1
         assert re.fullmatch(r"submitted (job-\S+) \(\w+\)", lines[0])
-        assert "trace: " in captured.err  # trace id lands on stderr
+        assert "trace:" not in captured.err  # submit mints no trace id

@@ -237,6 +237,61 @@ class TestRemovedFleetAndPool:
         assert resolve_backend_name(jobs=4) == "inline"
 
 
+class TestRemovedSpanTree:
+    """The span tree, its Chrome export and the inventory-only metrics
+    command are gone: their flags and command are refused up front, and
+    a client that still sends a trace id is served as before."""
+
+    # Each command line is also invalid in a way the command itself
+    # rejects, so a build that accepted --trace-out again would fail
+    # fast here instead of running an artifact or a server.
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "figure4", "--trace-out", "x", "--repeats", "0"],
+        ["trace", "figure4", "--trace-out", "x", "--repeats", "0"],
+        ["serve", "--trace-out", "x", "--workers", "0"],
+    ])
+    def test_trace_out_is_unrecognized(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert "Traceback" not in err
+
+    def test_metrics_command_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "Traceback" not in err
+
+    def test_submit_carrying_a_trace_id_is_served_unchanged(self):
+        import json
+        import socket
+
+        from repro.experiments import run_artifact
+        from repro.service import ServiceClient, ServiceInThread
+        from repro.service.protocol import PROTOCOL_VERSION
+
+        request = {
+            "v": PROTOCOL_VERSION, "op": "submit", "kind": "artifact",
+            "artifact": "figure4", "repeats": 1, "trace_id": "ab" * 16,
+        }
+        with ServiceInThread(workers=1, slow_job_threshold=None) as service:
+            with socket.create_connection(
+                (service.host, service.port), timeout=10
+            ) as raw:
+                raw.sendall(json.dumps(request).encode() + b"\n")
+                answer = json.loads(raw.makefile("rb").readline())
+            assert answer["ok"] is True, answer
+            assert "trace_id" not in answer["job"]
+            with ServiceClient(service.host, service.port) as client:
+                served = client.wait(answer["job"]["id"], timeout=120)
+        local = run_artifact("figure4", repeats=1)
+        assert served["report"] == local.report()
+
+
 class TestDeadlineValidation:
     @pytest.mark.parametrize("bad", ["0", "-1.5"])
     def test_non_positive_deadline_exit_2(self, capsys, bad):

@@ -120,25 +120,5 @@ class TestUnifiedRegistry:
             "repro_artifact_duration_seconds",
             "repro_executor_jobs",
             "repro_cache_hits",
-            "repro_spans_started",
         ):
             assert name in text
-
-    def test_span_gauge_reads_live_counts(self):
-        from repro.obs.spans import SPAN_COUNTS
-
-        registry = build_unified_registry()
-        gauge = registry.get("repro_spans_started")
-        (_, value), = gauge.samples()
-        assert value == float(SPAN_COUNTS["started"])
-
-    def test_service_shim_reexports_the_same_objects(self):
-        from repro.obs import metrics as obs_metrics
-        from repro.service import metrics as service_metrics
-
-        assert service_metrics.Histogram is obs_metrics.Histogram
-        assert service_metrics.MetricsRegistry is obs_metrics.MetricsRegistry
-        assert (
-            service_metrics.build_service_registry
-            is obs_metrics.build_unified_registry
-        )

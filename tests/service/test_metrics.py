@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.service.metrics import (
+from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    build_service_registry,
+    build_unified_registry,
 )
 
 
@@ -65,7 +65,7 @@ class TestRegistry:
             registry.gauge("twice", "y")
 
     def test_service_registry_has_the_contract_metrics(self):
-        registry = build_service_registry(
+        registry = build_unified_registry(
             queue_depth=lambda: 4, running=lambda: 1
         )
         text = registry.render()

@@ -1,11 +1,16 @@
-"""Scheduler behaviour: dedup, lifecycle, cancellation, shutdown."""
+"""Scheduler behaviour: dedup, lifecycle, cancellation, shutdown,
+the slow-job watchdog and per-artifact durations."""
 
 import asyncio
+import io
+import json
 import threading
 
 import pytest
 
 from repro.errors import ReproError
+from repro.obs.logging import NULL_LOGGER, StructuredLogger
+from repro.obs.metrics import build_unified_registry
 from repro.service.queue import JobQueue, QueueFull
 from repro.service.scheduler import (
     JobState,
@@ -237,3 +242,108 @@ class TestJobBuilders:
             plan_job({"jobs": []})
         with pytest.raises(ReproError):
             plan_job({"jobs": [{"config": {"processor": "Z80"}}]})
+
+
+class TestSlowJobWatchdog:
+    def test_slow_job_warned_once_with_metric(self):
+        async def scenario():
+            stream = io.StringIO()
+            registry = build_unified_registry()
+            scheduler = Scheduler(
+                queue=JobQueue(4), workers=1, registry=registry,
+                logger=StructuredLogger(stream=stream),
+                slow_job_threshold=0.01,
+            )
+            scheduler.start()
+            job = GatedJob()
+            record, _ = scheduler.submit(
+                token="tok", kind="plan", description="slow one", run=job
+            )
+            await wait_for(job.started.is_set)
+            await asyncio.sleep(0.02)
+            assert scheduler.check_slow_jobs() == 1
+            assert scheduler.check_slow_jobs() == 0  # warn once per job
+            job.release.set()
+            await wait_for(lambda: record.state is JobState.DONE)
+            await scheduler.shutdown(grace=5)
+            return stream, registry, record
+
+        stream, registry, record = run_async(scenario())
+        warnings = [
+            json.loads(line) for line in stream.getvalue().splitlines()
+            if json.loads(line)["event"] == "job.slow"
+        ]
+        assert len(warnings) == 1
+        assert warnings[0]["level"] == "warning"
+        assert warnings[0]["job"] == record.id
+        assert warnings[0]["run_seconds"] >= 0.01
+        assert warnings[0]["threshold_seconds"] == 0.01
+        assert registry.get("repro_slow_job_warnings_total").value == 1
+
+    def test_fast_jobs_never_warned(self):
+        async def scenario():
+            scheduler = Scheduler(
+                queue=JobQueue(4), workers=1,
+                logger=NULL_LOGGER, slow_job_threshold=60.0,
+            )
+            scheduler.start()
+            record, _ = scheduler.submit(
+                token="tok", kind="plan", description="fast",
+                run=lambda: {"ok": True},
+            )
+            await wait_for(lambda: record.state is JobState.DONE)
+            assert scheduler.check_slow_jobs() == 0
+            await scheduler.shutdown(grace=5)
+
+        run_async(scenario())
+
+    def test_watchdog_task_lifecycle(self):
+        async def scenario():
+            scheduler = Scheduler(
+                queue=JobQueue(4), workers=1,
+                logger=NULL_LOGGER, slow_job_threshold=30.0,
+            )
+            scheduler.start()
+            assert scheduler._watchdog_task is not None
+            await scheduler.shutdown(grace=5)
+            assert scheduler._watchdog_task is None
+
+            disabled = Scheduler(
+                queue=JobQueue(4), workers=1,
+                logger=NULL_LOGGER, slow_job_threshold=None,
+            )
+            disabled.start()
+            assert disabled._watchdog_task is None
+            await disabled.shutdown(grace=5)
+
+        run_async(scenario())
+
+    def test_invalid_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            Scheduler(slow_job_threshold=0)
+        with pytest.raises(ValueError):
+            Scheduler(slow_job_threshold=-1.0)
+
+
+class TestArtifactDurations:
+    def test_artifact_duration_family_observes_completions(self):
+        async def scenario():
+            registry = build_unified_registry()
+            scheduler = Scheduler(
+                queue=JobQueue(4), workers=1, registry=registry,
+                logger=NULL_LOGGER,
+                slow_job_threshold=None,
+            )
+            scheduler.start()
+            record, _ = scheduler.submit(
+                token="tok", kind="artifact", description="d",
+                run=lambda: {"ok": True}, artifact="figure4",
+            )
+            await wait_for(lambda: record.state is JobState.DONE)
+            await scheduler.shutdown(grace=5)
+            return registry
+
+        registry = run_async(scenario())
+        family = registry.get("repro_artifact_duration_seconds")
+        assert family.labels("figure4").count == 1
+        assert 'artifact="figure4"' in registry.render()
