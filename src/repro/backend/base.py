@@ -197,7 +197,7 @@ class ExecutionBackend(abc.ABC):
         """Batches submitted but not yet collected."""
 
     @abc.abstractmethod
-    def submit(self, jobs: Sequence[Any], indices: Sequence[int]) -> int:
+    def submit(self, jobs: Sequence[Any]) -> int:
         """Dispatch one batch; returns its batch id."""
 
     @abc.abstractmethod
@@ -252,7 +252,6 @@ class ExecutionBackend(abc.ABC):
     def execute(
         self,
         jobs: Sequence[Any],
-        indices: Sequence[int],
         batch_cap: int | None = None,
         on_batch: "Callable[[list[Any], list[Any]], None] | None" = None,
     ) -> ExecutionOutcome:
@@ -275,14 +274,13 @@ class ExecutionBackend(abc.ABC):
         their dispatch bookkeeping.
         """
         jobs = list(jobs)
-        indices = list(indices)
         cap = resolve_batch_cap(
             batch_cap if batch_cap is not None else self.batch_cap
         )
         with self._execute_lock:
             self._discard_inflight()
             try:
-                return self._execute_locked(jobs, indices, cap, on_batch)
+                return self._execute_locked(jobs, cap, on_batch)
             except BaseException:
                 self._discard_inflight()
                 raise
@@ -290,7 +288,6 @@ class ExecutionBackend(abc.ABC):
     def _execute_locked(
         self,
         jobs: list[Any],
-        indices: list[int],
         cap: "int | None",
         on_batch: "Callable[[list[Any], list[Any]], None] | None" = None,
     ) -> ExecutionOutcome:
@@ -304,9 +301,7 @@ class ExecutionBackend(abc.ABC):
         while cursor < len(jobs) or self.inflight:
             while cursor < len(jobs) and self.inflight < max_inflight:
                 size = self._next_batch_size(len(jobs) - cursor, cap)
-                batch_id = self.submit(
-                    jobs[cursor:cursor + size], indices[cursor:cursor + size]
-                )
+                batch_id = self.submit(jobs[cursor:cursor + size])
                 order.append(batch_id)
                 if on_batch is not None:
                     batch_jobs[batch_id] = jobs[cursor:cursor + size]

@@ -4,18 +4,18 @@ Coordinator and workers talk over plain pipes.  Every message is one
 *frame*::
 
     +----------------+------+---------------+------------------+
-    | payload length | kind | payload crc32 |     payload      |
+    | payload length | kind |     crc32     |     payload      |
     |  u32 little    |  u8  |  u32 little   |  `length` bytes  |
     +----------------+------+---------------+------------------+
 
 Nine header bytes, then the payload.  What makes the format compact is
 the :data:`BATCH` payload: a job is **not** a pickled object graph but
-a 16-byte entry — ``(template id: u32, seed: i64, plan index: u32)`` —
-referencing a config/benchmark *template* the coordinator registered
-once per worker (:data:`TEMPLATES`).  Only the seed varies between the
-thousands of jobs of a paper-scale sweep, so a 500-job batch is ~8 KB
-of frame instead of ~500 pickled plans.  Jobs that don't fit the
-template scheme (ablation probes, exotic seeds) ride in a pickled tail,
+a 12-byte entry — ``(template id: u32, seed: i64)`` — referencing a
+config/benchmark *template* the coordinator registered once per worker
+(:data:`TEMPLATES`).  Only the seed varies between the thousands of
+jobs of a paper-scale sweep, so a 500-job batch is ~6 KB of frame
+instead of ~500 pickled plans.  Jobs that don't fit the template
+scheme (ablation probes, exotic seeds) ride in a pickled tail,
 referenced by the :data:`EXTRA_JOB` sentinel, so the warm backend stays
 a drop-in for every :class:`~repro.exec.executor.Job`.
 
@@ -30,18 +30,18 @@ BATCH      c→w   see :func:`encode_batch`
 RESULTS    w→c   see :func:`encode_results`
 FAILURE    w→c   pickled ``(batch id, message)`` — a job raised
 SHUTDOWN   c→w   empty; finish nothing new, exit the loop
-STALL      c→w   f64 seconds; chaos — sleep before the next frame
 ========== ===== ==========================================================
 
 Truncated, oversized, or checksum-failing frames raise
 :class:`FrameError` — a corrupt stream must never be silently
-reinterpreted.  The crc32 covers the payload, so a bit flipped
-anywhere in transit (or injected by the chaos layer) is detected
-before the payload reaches ``pickle``; the payload decoders below
-additionally wrap every parse failure in :class:`FrameError`, so a
-frame that passes its checksum but carries garbage still fails
-loudly instead of crashing the coordinator with a raw
-``struct.error`` or unpickling surprise.
+reinterpreted.  The crc32 covers the kind byte and the payload, so a
+bit flipped in either is detected before the payload reaches
+``pickle`` (a flipped kind can name another valid kind); a corrupted
+length misaligns the payload and fails the same check.  The payload
+decoders below additionally wrap every parse failure in
+:class:`FrameError`, so a frame that passes its checksum but carries
+garbage still fails loudly instead of crashing the coordinator with a
+raw ``struct.error`` or unpickling surprise.
 """
 
 from __future__ import annotations
@@ -59,16 +59,13 @@ BATCH = 3
 RESULTS = 4
 FAILURE = 5
 SHUTDOWN = 6
-STALL = 7
 
-_KINDS = frozenset(
-    (HELLO, TEMPLATES, BATCH, RESULTS, FAILURE, SHUTDOWN, STALL)
-)
+_KINDS = frozenset((HELLO, TEMPLATES, BATCH, RESULTS, FAILURE, SHUTDOWN))
 
 _HEADER = struct.Struct("<IBI")
 #: Bytes of framing overhead per frame (length + kind + crc32 header).
 HEADER_SIZE = _HEADER.size
-_ENTRY = struct.Struct("<IqI")
+_ENTRY = struct.Struct("<Iq")
 _BATCH_HEAD = struct.Struct("<IIB")
 _RESULTS_HEAD = struct.Struct("<IId")
 
@@ -84,6 +81,11 @@ SEED_MIN, SEED_MAX = -(2**63), 2**63 - 1
 MAX_PAYLOAD = 256 * 1024 * 1024
 
 
+def _checksum(kind: int, payload: bytes) -> int:
+    """crc32 of the kind byte followed by the payload."""
+    return zlib.crc32(payload, zlib.crc32(bytes((kind,))))
+
+
 class FrameError(Exception):
     """The stream does not parse as frames (truncation, bad kind…)."""
 
@@ -97,7 +99,7 @@ def encode_frame(kind: int, payload: bytes = b"") -> bytes:
         raise FrameError(f"unknown frame kind {kind}")
     if len(payload) > MAX_PAYLOAD:
         raise FrameError(f"frame payload of {len(payload)} bytes too large")
-    return _HEADER.pack(len(payload), kind, zlib.crc32(payload)) + payload
+    return _HEADER.pack(len(payload), kind, _checksum(kind, payload)) + payload
 
 
 def write_frame(fd: int, kind: int, payload: bytes = b"") -> int:
@@ -136,7 +138,7 @@ def read_frame(fd: int) -> tuple[int, bytes]:
     if length > MAX_PAYLOAD:
         raise FrameError(f"frame payload of {length} bytes too large")
     payload = _read_exact(fd, length) if length else b""
-    if zlib.crc32(payload) != crc:
+    if _checksum(kind, payload) != crc:
         raise FrameError(
             f"frame checksum mismatch (kind {kind}, {length} bytes)"
         )
@@ -168,7 +170,7 @@ class FrameReader:
             if len(self._buffer) < end:
                 return frames
             payload = bytes(self._buffer[_HEADER.size:end])
-            if zlib.crc32(payload) != crc:
+            if _checksum(kind, payload) != crc:
                 raise FrameError(
                     f"frame checksum mismatch (kind {kind}, {length} bytes)"
                 )
@@ -183,21 +185,21 @@ class BatchFrame:
     """A decoded :data:`BATCH` payload."""
 
     batch_id: int
-    #: ``(template id, seed, plan index)`` per job, in batch order.
-    entries: tuple[tuple[int, int, int], ...]
+    #: ``(template id, seed)`` per job, in batch order.
+    entries: tuple[tuple[int, int], ...]
     #: Pickled whole jobs, consumed in order by :data:`EXTRA_JOB` entries.
     extras: tuple[Any, ...]
 
 
 def encode_batch(
     batch_id: int,
-    entries: Sequence[tuple[int, int, int]],
+    entries: Sequence[tuple[int, int]],
     extras: Sequence[Any] = (),
 ) -> bytes:
-    """Pack one batch: fixed 16-byte entries plus an optional tail."""
+    """Pack one batch: fixed 12-byte entries plus an optional tail."""
     parts = [_BATCH_HEAD.pack(batch_id, len(entries), int(bool(extras)))]
-    for template_id, seed, index in entries:
-        parts.append(_ENTRY.pack(template_id, seed, index))
+    for template_id, seed in entries:
+        parts.append(_ENTRY.pack(template_id, seed))
     if extras:
         parts.append(
             pickle.dumps(tuple(extras), protocol=pickle.HIGHEST_PROTOCOL)
@@ -257,20 +259,3 @@ def decode_results(payload: bytes) -> "tuple[int, int, float, list[Any]]":
         raise FrameError("results frame body has the wrong shape")
     return batch_id, snapshot_hits, seconds, results
 
-
-_STALL = struct.Struct("<d")
-
-
-def encode_stall(seconds: float) -> bytes:
-    """Pack a :data:`STALL` payload (chaos: wedge the worker)."""
-    return _STALL.pack(seconds)
-
-
-def decode_stall(payload: bytes) -> float:
-    try:
-        (seconds,) = _STALL.unpack(payload)
-    except struct.error as exc:
-        raise FrameError(f"stall frame payload malformed: {exc}") from exc
-    if not seconds >= 0:
-        raise FrameError(f"stall frame seconds negative: {seconds}")
-    return seconds

@@ -35,7 +35,7 @@ class InlineBackend(ExecutionBackend):
         """One dispatch unit per run: splitting buys nothing in-process."""
         return pending
 
-    def submit(self, jobs: Sequence[Any], indices: Sequence[int]) -> int:
+    def submit(self, jobs: Sequence[Any]) -> int:
         """Run the batch right here, right now."""
         batch_id = self._next_batch
         self._next_batch += 1

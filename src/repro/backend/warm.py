@@ -10,9 +10,9 @@ snapshot stores in every worker.  The warm backend removes all three:
   service handling many plans — or a sweep driving many runs — pays
   spawn cost once.
 
-* **Frames, not pickles.**  Jobs travel as 16-byte
-  ``(template id, seed, plan index)`` entries over a length-prefixed
-  binary protocol (:mod:`repro.backend.frames`).  The coordinator
+* **Frames, not pickles.**  Jobs travel as 12-byte
+  ``(template id, seed)`` entries over a length-prefixed binary
+  protocol (:mod:`repro.backend.frames`).  The coordinator
   registers each plan's config/benchmark *templates* with every worker
   once; after that a 500-job batch is a few KB of frame instead of 500
   pickled object graphs.
@@ -57,8 +57,6 @@ from repro.backend.knobs import (
     resolve_jobs,
     resolve_slow_threshold,
 )
-from repro.chaos import chaos_param, corrupt_bytes as chaos_corrupt
-from repro.chaos import should_fire as chaos_should_fire
 from repro.errors import ConfigurationError
 from repro.obs.metrics import inc_counter, observe_family
 
@@ -117,18 +115,13 @@ def _worker_main(read_fd: int, write_fd: int, close_fds: Sequence[int]) -> None:
                     boots.append((config.processor, config.substrate))
                 preload_images(boots)
                 continue
-            if kind == frames.STALL:
-                # Chaos: the coordinator wedged this worker; the
-                # watchdog observes the stall from outside.
-                time.sleep(frames.decode_stall(payload))
-                continue
             if kind != frames.BATCH:
                 raise FrameError(f"worker got unexpected frame kind {kind}")
             batch = frames.decode_batch(payload)
             try:
                 extras = iter(batch.extras)
                 jobs = []
-                for template_id, seed, _ in batch.entries:
+                for template_id, seed in batch.entries:
                     if template_id == frames.EXTRA_JOB:
                         jobs.append(next(extras))
                     else:
@@ -403,8 +396,6 @@ class WarmBackend(ExecutionBackend):
                 continue
             self.stats.frame_bytes_received += len(data)
             GLOBAL_STATS.frame_bytes_received += len(data)
-            if chaos_should_fire("frame-corrupt"):
-                data = chaos_corrupt("frame-corrupt", data)
             try:
                 for kind, payload in worker.reader.feed(data):
                     self._handle_frame(worker, kind, payload)
@@ -490,19 +481,6 @@ class WarmBackend(ExecutionBackend):
         while True:
             worker = self._least_loaded()
             try:
-                if chaos_should_fire("slow-worker"):
-                    # Wedge the worker before it sees the batch.  The
-                    # coordinator owns the stream, so the stall budget
-                    # is fleet-global: a revived worker's replacement
-                    # draws from where the fleet left off instead of
-                    # restarting the stream and re-stalling forever.
-                    self._send(
-                        worker,
-                        frames.STALL,
-                        frames.encode_stall(
-                            chaos_param("slow-worker", "stall", 5.0)
-                        ),
-                    )
                 self._send(worker, frames.BATCH, pending.payload)
             except _WorkerDied as death:
                 if self._workers[death.worker.index] is death.worker:
@@ -510,11 +488,6 @@ class WarmBackend(ExecutionBackend):
                 continue
             worker.inflight.add(batch_id)
             self._dispatched_at[batch_id] = time.monotonic()
-            if chaos_should_fire("worker-kill"):
-                # SIGKILL with the batch freshly in flight: EOF
-                # detection must revive and re-dispatch, results must
-                # not move a byte.
-                worker.proc.kill()
             return
 
     def _pump(self) -> None:
@@ -581,18 +554,18 @@ class WarmBackend(ExecutionBackend):
     def inflight(self) -> int:
         return len(self._pending) + len(self._completed)
 
-    def submit(self, jobs: Sequence[Any], indices: Sequence[int]) -> int:
+    def submit(self, jobs: Sequence[Any]) -> int:
         batch_id = self._next_batch
         self._next_batch += 1
-        entries: list[tuple[int, int, int]] = []
+        entries: list[tuple[int, int]] = []
         extras: list[Any] = []
-        for job, index in zip(jobs, indices):
+        for job in jobs:
             template_id = self._template_id(job)
             if template_id is None:
-                entries.append((frames.EXTRA_JOB, 0, index))
+                entries.append((frames.EXTRA_JOB, 0))
                 extras.append(job)
             else:
-                entries.append((template_id, job.config.seed, index))
+                entries.append((template_id, job.config.seed))
         payload = frames.encode_batch(batch_id, entries, extras=extras)
         self._pending[batch_id] = _PendingBatch(payload, len(entries))
         self._pump()

@@ -24,13 +24,12 @@ and ``--cache-dir`` to persist results on disk.
 line-delimited JSON protocol of :mod:`repro.service`; ``submit`` and
 ``status`` are thin clients for it.
 
-Resilience (see ``docs/resilience.md``): ``--chaos SPEC`` (on
-``reproduce``, ``trace`` and ``serve``) arms the deterministic fault
-injector; ``--deadline SECONDS`` revives workers whose batch overruns
-its per-job budget; ``reproduce --resume`` journals completed jobs to
-a crash-safe sidecar under ``--journal-dir`` so a killed run restarts
-where it left off; ``submit``/``status`` retry transient service
-errors by default (``--no-retry`` opts out).
+Resilience (see ``docs/resilience.md``): ``--deadline SECONDS`` (on
+``reproduce``, ``trace`` and ``serve``) revives workers whose batch
+overruns its per-job budget; ``reproduce --resume`` journals completed
+jobs to a crash-safe sidecar under ``--journal-dir`` so a killed run
+restarts where it left off; ``submit``/``status`` retry transient
+service errors by default (``--no-retry`` opts out).
 
 Observability (:mod:`repro.obs`): ``trace`` runs an artifact (or
 ``all``) exactly as ``reproduce`` does with a timer at every layer
@@ -52,11 +51,12 @@ from typing import Sequence
 
 from repro.backend import (
     resolve_backend_name,
+    resolve_deadline,
+    resolve_slow_threshold,
     set_default_backend,
     set_default_deadline,
     set_default_slow_threshold,
 )
-from repro.chaos import configure_chaos, get_injector
 from repro.core.benchmarks import LoopBenchmark, NullBenchmark
 from repro.core.config import INFRASTRUCTURES, MeasurementConfig, Mode, Pattern
 from repro.core.measurement import run_measurement
@@ -148,12 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="persist measurement results under DIR (content-addressed)",
     )
     reproduce.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="inject deterministic faults, e.g. 'worker-kill:p=0.05,"
-             "seed=7' (REPRO_CHAOS; see docs/resilience.md; results "
-             "stay byte-identical)",
-    )
-    reproduce.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="per-job deadline: revive a worker whose batch overruns "
              "deadline x jobs and re-dispatch its work (REPRO_DEADLINE)",
@@ -192,10 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
         help="cap on jobs shipped per dispatched batch under --jobs",
-    )
-    trace.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="inject deterministic faults (see docs/resilience.md)",
     )
     trace.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
@@ -274,10 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--slow-job-threshold", type=float, default=30.0, metavar="SECONDS",
         help="warn (structured log + metric) when a job runs longer than "
              "this; 0 disables the watchdog",
-    )
-    serve.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="inject deterministic faults (see docs/resilience.md)",
     )
     serve.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
@@ -412,7 +398,15 @@ def _cmd_reproduce(
         journal = SweepJournal(
             journal_path(journal_dir, artifact, repeats, seed)
         )
-        restored = journal.open()
+        try:
+            restored = journal.open()
+        except OSError as exc:
+            print(
+                f"error: cannot open a resume journal under {journal_dir} "
+                f"({exc})",
+                file=sys.stderr,
+            )
+            return 2
         print(
             f"resume: {restored} completed job(s) restored",
             file=sys.stderr,
@@ -619,13 +613,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             set_default_backend(args.backend)
             resolve_backend_name()  # ...and a bad REPRO_BACKEND
             set_default_deadline(args.deadline)
-            if args.chaos is not None:
-                configure_chaos(args.chaos)  # validates the spec grammar
-            else:
-                get_injector()  # ...and surface a bad REPRO_CHAOS
+            resolve_deadline()  # ...and a bad REPRO_DEADLINE
+            resolve_slow_threshold()  # ...and a bad REPRO_SLOW_JOB
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+    if args.command in ("serve", "submit", "status") and not (
+        0 <= args.port <= 65535
+    ):
+        print(f"error: port must be in 0..65535, got {args.port}",
+              file=sys.stderr)
+        return 2
     if args.command == "serve":
         # Structured exit-2 errors, not a traceback from deep in the
         # service stack.
@@ -650,16 +648,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             set_default_backend(args.backend)
             resolve_backend_name()  # surface a bad REPRO_BACKEND early
             set_default_deadline(args.deadline)
+            resolve_deadline()  # ...and a bad REPRO_DEADLINE
             # Route the threshold through the knob chain so backend
             # collect loops see it too, not just the scheduler.
             set_default_slow_threshold(
                 args.slow_job_threshold if args.slow_job_threshold > 0
                 else None
             )
-            if args.chaos is not None:
-                configure_chaos(args.chaos)  # validates the spec grammar
-            else:
-                get_injector()  # ...and surface a bad REPRO_CHAOS
+            resolve_slow_threshold()  # ...and a bad REPRO_SLOW_JOB
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

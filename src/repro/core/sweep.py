@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.analysis.table import ResultTable
 from repro.core.config import INFRASTRUCTURES, MeasurementConfig, Mode, Pattern
@@ -99,7 +99,6 @@ def iter_configs(spec: SweepSpec) -> Iterator[MeasurementConfig]:
 def run_sweep(
     spec: SweepSpec,
     benchmark: "BenchmarkSpec | None" = None,
-    progress: Callable[[int], None] | None = None,
     executor: "Executor | None" = None,
 ) -> ResultTable:
     """Run every configuration of the sweep; one table row each.
@@ -110,4 +109,4 @@ def run_sweep(
     from repro.exec.executor import get_executor
 
     runner = executor if executor is not None else get_executor()
-    return runner.run(spec.plan(benchmark), progress=progress)
+    return runner.run(spec.plan(benchmark))

@@ -21,7 +21,6 @@ invalidates everything rather than serving stale rows.
 
 from __future__ import annotations
 
-import errno
 import functools
 import hashlib
 import logging
@@ -33,7 +32,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.chaos import should_fire as chaos_should_fire
 from repro.errors import ConfigurationError
 from repro.obs.metrics import inc_counter
 
@@ -185,8 +183,6 @@ class ResultCache:
     def _disk_put(self, token: str, value: Any) -> None:
         path = self._path_for(token)
         try:
-            if chaos_should_fire("cache-enospc"):
-                raise OSError(errno.ENOSPC, "chaos: injected ENOSPC")
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
@@ -196,13 +192,6 @@ class ResultCache:
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-            if chaos_should_fire("cache-torn"):
-                # Simulate a torn write: chop the freshly landed entry
-                # in half, the way a crash mid-write (on a filesystem
-                # without atomic rename durability) would.
-                size = path.stat().st_size
-                with path.open("r+b") as handle:
-                    handle.truncate(max(1, size // 2))
         except OSError:
             pass  # a read-only or full disk degrades to memory-only
 

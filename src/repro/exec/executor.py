@@ -29,7 +29,7 @@ the adaptive batch sizer's cap — see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.analysis.table import ResultTable
 from repro.backend.base import ExecutionBackend
@@ -120,16 +120,8 @@ class Executor:
         self.batch_size = batch_size
         self.stats = ExecutorStats()
 
-    def map(
-        self,
-        jobs: Iterable[Job],
-        progress: Callable[[int], None] | None = None,
-    ) -> list[Any]:
-        """Results for every job, in order, reusing cached results.
-
-        ``progress`` is called with each job's plan index once its
-        result is available (all indices, in order).
-        """
+    def map(self, jobs: Iterable[Job]) -> list[Any]:
+        """Results for every job, in order, reusing cached results."""
         from repro.exec.journal import active_journal
 
         jobs = list(jobs)
@@ -162,25 +154,17 @@ class Executor:
         self.stats.executed += len(pending)
         GLOBAL_STATS.executed += len(pending)
         if pending:
-            fresh = self._execute([jobs[i] for i in pending], pending, journal)
+            fresh = self._execute([jobs[i] for i in pending], journal)
             for index, result in zip(pending, fresh):
                 results[index] = result
                 if self.cache is not None and tokens[index] is not None:
                     self.cache.put(tokens[index], result)
                 if journal is not None and tokens[index] is not None:
                     journal.append(tokens[index], result)
-        if progress is not None:
-            for index in range(len(jobs)):
-                progress(index)
         return results
 
-    def _execute(
-        self, jobs: Sequence[Job], indices: Sequence[int], journal: Any
-    ) -> list[Any]:
-        """Run jobs on the backend, returning results in the given order.
-
-        ``indices`` are the jobs' positions in the original mapping.
-        """
+    def _execute(self, jobs: Sequence[Job], journal: Any) -> list[Any]:
+        """Run jobs on the backend, returning results in the given order."""
         on_batch = None
         if journal is not None:
             # Journal each batch the moment it completes, so a run
@@ -192,7 +176,7 @@ class Executor:
                         journal.append(token, result)
 
         outcome = self.backend.execute(
-            jobs, list(indices), batch_cap=self.batch_size, on_batch=on_batch
+            jobs, batch_cap=self.batch_size, on_batch=on_batch
         )
         self.stats.batches += outcome.batches
         self.stats.snapshot_hits += outcome.snapshot_hits
@@ -200,13 +184,9 @@ class Executor:
         GLOBAL_STATS.snapshot_hits += outcome.snapshot_hits
         return outcome.results
 
-    def run(
-        self,
-        plan: MeasurementPlan,
-        progress: Callable[[int], None] | None = None,
-    ) -> ResultTable:
+    def run(self, plan: MeasurementPlan) -> ResultTable:
         """Execute a plan and tabulate its rows (in plan order)."""
-        return plan.table(self.map(plan.jobs, progress=progress))
+        return plan.table(self.map(plan.jobs))
 
 
 def get_executor(

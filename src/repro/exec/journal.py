@@ -1,7 +1,7 @@
 """Crash-safe sweep journal: resume a killed ``reproduce`` run.
 
 A sweep is a pure function of its plan — every job carries its
-complete seed — so a run that dies (OOM, power, a chaos SIGKILL) has
+complete seed — so a run that dies (OOM, power loss, SIGKILL) has
 lost nothing but time: the finished jobs would produce byte-identical
 results if re-run.  The journal makes that time recoverable.  While a
 journalled run executes, every completed job's ``(cache token,
@@ -9,8 +9,8 @@ result)`` is appended to a sidecar file and fsync'd; a restart with
 ``--resume`` loads the sidecar, serves the recorded jobs without
 executing them, and recomputes only what is missing.  Because results
 are reassembled in plan order either way, the merged artifact is
-byte-identical to an uninterrupted run — ``tests/integration/
-test_chaos_golden.py`` kills a run mid-sweep and proves it.
+byte-identical to an uninterrupted run — the integration tests'
+``TestCrashSafeResume`` SIGKILLs a run mid-sweep and proves it.
 
 Record format (append-only, little-endian)::
 

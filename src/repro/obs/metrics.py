@@ -180,45 +180,6 @@ class Histogram:
         yield from self.bucket_samples()
 
 
-class CounterFamily:
-    """One counter per label value (e.g. chaos injections per point).
-
-    Children share the family's name; rendering attaches the label the
-    way a Prometheus client library would::
-
-        repro_chaos_injected_total{point="worker-kill"} 3
-    """
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str, label: str) -> None:
-        self.name = _check_name(name)
-        self.help = help
-        self.label = _check_name(label)
-        self._children: dict[str, Counter] = {}
-
-    def labels(self, value: str) -> Counter:
-        """The child counter for one label value (created on demand)."""
-        value = str(value)
-        child = self._children.get(value)
-        if child is None:
-            child = Counter(self.name, self.help)
-            self._children[value] = child
-        return child
-
-    def inc(self, label_value: str, amount: float = 1.0) -> None:
-        self.labels(label_value).inc(amount)
-
-    def samples(self) -> Iterable[tuple[str, float]]:
-        for label_value in sorted(self._children):
-            escaped = label_value.replace("\\", "\\\\").replace('"', '\\"')
-            child = self._children[label_value]
-            yield (
-                f'{self.name}{{{self.label}="{escaped}"}}',
-                child.value,
-            )
-
-
 class HistogramFamily:
     """One histogram per label value (e.g. duration per artifact).
 
@@ -292,14 +253,6 @@ def inc_counter(name: str, amount: float = 1.0) -> None:
             instrument.inc(amount)
 
 
-def inc_family(name: str, label_value: str, amount: float = 1.0) -> None:
-    """Increment one child of the named counter family, everywhere."""
-    for registry in list(_live_registries):
-        instrument = registry.get(name)
-        if isinstance(instrument, CounterFamily):
-            instrument.inc(label_value, amount)
-
-
 class MetricsRegistry:
     """A named set of instruments with a text exposition."""
 
@@ -314,9 +267,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str) -> Counter:
         return self._register(Counter(name, help))
-
-    def counter_family(self, name: str, help: str, label: str) -> CounterFamily:
-        return self._register(CounterFamily(name, help, label))
 
     def gauge(
         self, name: str, help: str, fn: Callable[[], float] | None = None
@@ -386,11 +336,6 @@ def build_unified_registry(
     registry.counter(
         "repro_slow_job_warnings_total",
         "Running jobs flagged for exceeding the slow-job threshold.",
-    )
-    registry.counter_family(
-        "repro_chaos_injected_total",
-        "Faults fired by the chaos injector (label: point).",
-        label="point",
     )
     registry.counter(
         "repro_cache_quarantined_total",

@@ -39,8 +39,7 @@ from repro.exec.cache import stable_token
 from repro.obs.logging import StructuredLogger, get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.service.protocol import DEFAULT_PRIORITY
-from repro.chaos import should_fire as chaos_should_fire
-from repro.service.queue import JobQueue, QueueFull
+from repro.service.queue import JobQueue
 
 #: Finished job records kept for status/result polling.
 HISTORY_LIMIT = 1024
@@ -238,15 +237,6 @@ class Scheduler:
             artifact=artifact,
         )
         try:
-            if chaos_should_fire("queue-full"):
-                # Simulated backpressure: reject exactly as a saturated
-                # queue would, retry_after hint and all, so client
-                # backoff can be exercised without actually filling up.
-                raise QueueFull(
-                    self.queue.depth,
-                    self.queue.max_depth,
-                    self.queue.retry_after_hint(),
-                )
             self.queue.push(record, client=client, priority=priority)
         except Exception:
             self._count("repro_queue_rejected_total")

@@ -18,6 +18,7 @@ harness the test suite and embedding callers use.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 import time
 from typing import Any
@@ -37,7 +38,6 @@ from repro.service.protocol import (
     StatusRequest,
     SubmitRequest,
 )
-from repro.chaos import should_fire as chaos_should_fire
 from repro.service.queue import JobQueue, QueueFull
 from repro.service.scheduler import (
     JobState,
@@ -134,11 +134,6 @@ class MeasurementServer:
                 if not line.strip():
                     continue
                 response = await self._respond(line)
-                if chaos_should_fire("conn-drop"):
-                    # Drop the connection with the response computed
-                    # but unsent — the worst case for a client, which
-                    # cannot know whether the request took effect.
-                    break
                 writer.write(protocol.encode_line(response))
                 try:
                     await writer.drain()
@@ -304,8 +299,18 @@ class MeasurementServer:
 
 # -- entry points ----------------------------------------------------------
 
-async def _serve(server: MeasurementServer, announce: bool) -> None:
-    await server.start()
+async def _serve(server: MeasurementServer, announce: bool) -> int:
+    try:
+        await server.start()
+    except OSError as exc:
+        # A busy port, an unresolvable host, a privileged port: one
+        # line, as when a client cannot reach a service.
+        print(
+            f"error: cannot listen on {server.host}:{server.port} ({exc})",
+            file=sys.stderr,
+        )
+        await server.shutdown()  # the scheduler started before the bind
+        return 1
     if announce:
         # CI and wrapper scripts block on this line to know the port.
         print(
@@ -318,6 +323,7 @@ async def _serve(server: MeasurementServer, announce: bool) -> None:
         pass
     finally:
         await server.shutdown()
+    return 0
 
 
 def run_service(
@@ -331,7 +337,11 @@ def run_service(
     slow_job_threshold: float | None = 30.0,
     backend: str | None = None,
 ) -> int:
-    """Blocking foreground service (the ``repro serve`` subcommand)."""
+    """Blocking foreground service (the ``repro serve`` subcommand).
+
+    Returns the exit code: 0 after a shutdown, 1 when the address
+    cannot be bound (reported as one ``error:`` line on stderr).
+    """
     server = MeasurementServer(
         host=host,
         port=port,
@@ -343,10 +353,9 @@ def run_service(
         backend=backend,
     )
     try:
-        asyncio.run(_serve(server, announce))
+        return asyncio.run(_serve(server, announce))
     except KeyboardInterrupt:
-        pass  # _serve's finally already drained the scheduler
-    return 0
+        return 0  # _serve's finally already drained the scheduler
 
 
 class ServiceInThread:

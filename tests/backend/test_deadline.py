@@ -1,12 +1,18 @@
 """Per-job deadlines and the slow-job watchdog in the warm backend.
 
-A wedged worker — stalled by chaos, a runaway job, or a kernel hiccup
+A wedged worker — a runaway job, a stopped process, or a kernel hiccup
 — must not hang ``collect()`` forever.  With a slow-job threshold set
 the coordinator warns (log + counter); with a deadline set it revives
 the worker and re-dispatches the batch, and because every job carries
-its complete seed the recomputed results are byte-identical.
+its complete seed the recomputed results are byte-identical.  The
+tests wedge a worker themselves: SIGSTOP, which the watchdog's SIGKILL
+still ends.
 """
 
+import contextlib
+import os
+import signal
+import threading
 import time
 
 import pytest
@@ -18,7 +24,6 @@ from repro.backend.knobs import (
     set_default_deadline,
     set_default_slow_threshold,
 )
-from repro.chaos import configure_chaos, reset_chaos
 from repro.errors import ConfigurationError
 from repro.obs.metrics import build_unified_registry
 
@@ -34,7 +39,30 @@ def clean_watchdog_state():
     yield
     set_default_deadline(None)
     set_default_slow_threshold(None)
-    reset_chaos()
+
+
+def resume(pid):
+    """SIGCONT a stopped worker that may already have been revived."""
+    try:
+        os.kill(pid, signal.SIGCONT)
+    except ProcessLookupError:
+        pass
+
+
+@contextlib.contextmanager
+def first_worker_stopped(backend, jobs, seconds):
+    """Register the plan's templates, then SIGSTOP worker 0 — first in
+    line for a batch — until ``seconds`` pass or the block exits."""
+    backend.prepare(jobs)
+    pid = backend.worker_pids[0]
+    os.kill(pid, signal.SIGSTOP)
+    waker = threading.Timer(seconds, resume, (pid,))
+    waker.start()
+    try:
+        yield
+    finally:
+        waker.cancel()
+        resume(pid)
 
 
 class TestKnobs:
@@ -70,24 +98,27 @@ class TestKnobs:
 
 class TestDeadlineRevival:
     def test_stalled_worker_is_revived_and_results_identical(self):
-        # slow-worker chaos wedges the first batch a worker picks up
-        # for far longer than the deadline; the watchdog must revive
-        # the worker, re-dispatch, and the table must not move a byte.
+        # A stopped worker holds its batches far past the deadline; the
+        # watchdog must revive it, re-dispatch, and the table must not
+        # move a byte.
         plan = small_plan(base_seed=20)
         jobs = list(plan)
         baseline = [job.execute() for job in jobs]
 
-        configure_chaos("slow-worker:p=1,times=1,stall=30")
         set_default_deadline(0.3)
         backend = make_backend("warm", workers=2)
         revivals_before = GLOBAL_STATS.stall_revivals
         try:
-            outcome = backend.execute(jobs, list(range(len(jobs))))
+            # Woken after 10 s at the latest, so a lost watchdog fails
+            # the asserts below instead of hanging.
+            with first_worker_stopped(backend, jobs, 10.0):
+                outcome = backend.execute(jobs)
         finally:
             backend.shutdown(grace=2.0)
 
         assert outcome.results == baseline
         assert backend.stats.stall_revivals >= 1
+        assert backend.stats.worker_restarts >= 1  # replaced, not waited out
         assert GLOBAL_STATS.stall_revivals > revivals_before
 
     def test_revivals_surface_in_the_metrics_registry(self):
@@ -95,11 +126,11 @@ class TestDeadlineRevival:
         plan = small_plan(base_seed=21)
         jobs = list(plan)
 
-        configure_chaos("slow-worker:p=1,times=1,stall=30")
         set_default_deadline(0.3)
         backend = make_backend("warm", workers=2)
         try:
-            backend.execute(jobs, list(range(len(jobs))))
+            with first_worker_stopped(backend, jobs, 10.0):
+                backend.execute(jobs)
         finally:
             backend.shutdown(grace=2.0)
 
@@ -121,7 +152,7 @@ class TestDeadlineRevival:
         set_default_deadline(0.001)
         backend = make_backend("warm", workers=2)
         try:
-            outcome = backend.execute(jobs, list(range(len(jobs))))
+            outcome = backend.execute(jobs)
         finally:
             backend.shutdown(grace=2.0)
         assert outcome.results == baseline
@@ -137,18 +168,18 @@ class TestSlowJobWarning:
         jobs = list(plan)
         baseline = [job.execute() for job in jobs]
 
-        configure_chaos("slow-worker:p=1,times=1,stall=0.5")
         set_default_slow_threshold(0.1)  # warn only: no deadline set
         backend = make_backend("warm", workers=2)
         try:
-            with caplog.at_level("WARNING", logger="repro.backend.warm"):
-                outcome = backend.execute(jobs, list(range(len(jobs))))
+            with first_worker_stopped(backend, jobs, 0.5):
+                with caplog.at_level("WARNING", logger="repro.backend.warm"):
+                    outcome = backend.execute(jobs)
         finally:
             backend.shutdown(grace=2.0)
 
         assert outcome.results == baseline
         assert counter.value > before
-        assert any("slow" in record.message for record in caplog.records)
+        assert "(threshold 0.1s)" in caplog.text
         # Warn-only mode never revives anything.
         assert backend.stats.stall_revivals == 0
 

@@ -107,6 +107,15 @@ class TestFrameReader:
         with pytest.raises(FrameError, match="checksum"):
             reader.feed(bytes(frame))
 
+    def test_kind_flipped_to_another_valid_kind_is_frame_error(self):
+        # The kind byte sits outside the payload; the checksum must
+        # cover it too, or BATCH could arrive as TEMPLATES unnoticed.
+        frame = bytearray(encode_frame(frames.BATCH, b"batch bytes"))
+        frame[4] = frames.TEMPLATES
+        reader = FrameReader()
+        with pytest.raises(FrameError, match="checksum"):
+            reader.feed(bytes(frame))
+
     def test_payload_bit_flip_is_frame_error_on_blocking_read(self):
         frame = bytearray(encode_frame(frames.BATCH, b"batch bytes"))
         frame[-1] ^= 0x01
@@ -122,26 +131,26 @@ class TestFrameReader:
 
 class TestBatchPayload:
     def test_entries_only_round_trip(self):
-        entries = [(0, 7, 0), (0, -3, 1), (1, 2**40, 2)]
+        entries = [(0, 7), (0, -3), (1, 2**40)]
         batch = decode_batch(encode_batch(5, entries))
         assert batch.batch_id == 5
         assert batch.entries == tuple(entries)
         assert batch.extras == ()
 
     def test_extras_ride_the_tail(self):
-        entries = [(frames.EXTRA_JOB, 0, 4), (2, 11, 5)]
+        entries = [(frames.EXTRA_JOB, 0), (2, 11)]
         batch = decode_batch(encode_batch(9, entries, extras=("job-obj",)))
         assert batch.entries == tuple(entries)
         assert batch.extras == ("job-obj",)
 
     def test_entries_are_fixed_width(self):
         base = len(encode_batch(0, []))
-        one = len(encode_batch(0, [(1, 2, 3)]))
-        two = len(encode_batch(0, [(1, 2, 3), (4, 5, 6)]))
-        assert one - base == two - one  # 16 bytes per job, no pickling
+        one = len(encode_batch(0, [(1, 2)]))
+        two = len(encode_batch(0, [(1, 2), (4, 5)]))
+        assert one - base == two - one == 12  # u32 + i64, no pickling
 
     def test_truncated_entry_block_is_frame_error(self):
-        payload = encode_batch(1, [(0, 1, 0), (0, 2, 1)])
+        payload = encode_batch(1, [(0, 1), (0, 2)])
         with pytest.raises(FrameError, match="truncated"):
             decode_batch(payload[:-4])
 

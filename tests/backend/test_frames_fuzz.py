@@ -42,8 +42,8 @@ def build_stream(rng):
             payload = b""
         elif kind == frames.BATCH:
             entries = [
-                (0, rng.randrange(1000), index)
-                for index in range(rng.randrange(1, 5))
+                (0, rng.randrange(1000))
+                for _ in range(rng.randrange(1, 5))
             ]
             payload = encode_batch(rng.randrange(100), entries)
         else:
@@ -98,7 +98,7 @@ def test_corrupted_stream_is_error_or_strict_prefix(seed):
 @pytest.mark.parametrize("seed", range(100))
 def test_corrupted_batch_payload_never_escapes_frame_error(seed):
     rng = random.Random(seed)
-    entries = [(0, rng.randrange(1000), i) for i in range(3)]
+    entries = [(0, rng.randrange(1000)) for _ in range(3)]
     payload = encode_batch(7, entries, extras=("job",))
     damaged = corrupt(rng, payload)
     try:

@@ -62,7 +62,7 @@ class TestWorkerDeath:
             for start in range(0, len(jobs), 4):
                 chunk = jobs[start:start + 4]
                 submitted.append(
-                    backend.submit(chunk, list(range(start, start + len(chunk))))
+                    backend.submit(chunk)
                 )
             # SIGKILL one worker while its batches are in flight: the
             # coordinator must see EOF, respawn, and re-dispatch.
@@ -103,7 +103,7 @@ class TestWorkerDeath:
             # Worker 0 is idle and first in line, so the batch goes to
             # it and completes only once it has been revived.
             os.kill(backend.worker_pids[0], signal.SIGKILL)
-            submitted = [backend.submit(batch, list(range(len(batch))))]
+            submitted = [backend.submit(batch)]
             results = collect_all(backend, submitted)
         finally:
             backend.shutdown(grace=2.0)
@@ -119,7 +119,7 @@ class TestWorkerDeath:
         backend = make_backend("warm", workers=2)
         try:
             backend.prepare(jobs)
-            submitted = [backend.submit(jobs, list(range(len(jobs))))]
+            submitted = [backend.submit(jobs)]
             os.kill(backend.worker_pids[-1], signal.SIGKILL)
             collect_all(backend, submitted)
         finally:
@@ -188,10 +188,9 @@ class TestSharedFleetIsolation:
         backend = make_backend("warm", workers=2)
         try:
             with pytest.raises(WorkerFailure):
-                backend.execute([_ExplodingJob() for _ in range(8)],
-                                list(range(8)))
+                backend.execute([_ExplodingJob() for _ in range(8)])
             assert backend.inflight == 0
-            outcome = backend.execute(jobs, list(range(len(jobs))))
+            outcome = backend.execute(jobs)
         finally:
             backend.shutdown(grace=5.0)
         assert outcome.results == baseline
@@ -210,9 +209,7 @@ class TestSharedFleetIsolation:
         def run(slot):
             jobs = list(plans[slot])
             try:
-                outcomes[slot] = backend.execute(
-                    jobs, list(range(len(jobs)))
-                )
+                outcomes[slot] = backend.execute(jobs)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -239,7 +236,7 @@ class TestGracefulShutdown:
         # (which runs atexit) hostage: the drain gives up at the grace
         # deadline and the worker is terminated.
         backend = make_backend("warm", workers=2)
-        backend.submit([_SleepyJob(120.0)], [0])
+        backend.submit([_SleepyJob(120.0)])
         start = time.monotonic()
         drained = backend.shutdown(grace=0.5)
         elapsed = time.monotonic() - start
@@ -256,7 +253,7 @@ class TestGracefulShutdown:
         for start in range(0, len(jobs), 8):
             chunk = jobs[start:start + 8]
             submitted.append(
-                backend.submit(chunk, list(range(start, start + len(chunk))))
+                backend.submit(chunk)
             )
         drained = backend.shutdown(grace=10.0)
         assert sorted(done.batch_id for done in drained) == sorted(submitted)
@@ -279,7 +276,7 @@ class TestGracefulShutdown:
         backend.shutdown(grace=1.0)
         assert backend.shutdown(grace=1.0) == []
         with pytest.raises(RuntimeError, match="shut down"):
-            backend.submit([], [])
+            backend.submit([])
 
     def test_unavailable_platforms_refuse_loudly(self, monkeypatch):
         from repro.backend import warm as warm_module

@@ -70,11 +70,6 @@ class TestRunSweep:
         for column in ("processor", "infra", "pattern", "mode", "error"):
             assert column in table.column_names
 
-    def test_progress_callback(self):
-        seen = []
-        run_sweep(tiny_spec(repeats=1), progress=seen.append)
-        assert seen == list(range(len(seen)))
-
     def test_errors_nonnegative_without_io(self):
         table = run_sweep(tiny_spec())
         assert min(table.values("error")) >= 0

@@ -4,25 +4,23 @@ A torn pickle, truncated file, or garbage bytes under the cache
 directory must cost exactly one recompute: the reader serves a miss,
 renames the poison aside (``.quarantined``) for a post-mortem, and
 counts the incident — while concurrent readers racing the same entry
-stay exception-free.
+stay exception-free.  A full disk (ENOSPC from ``tempfile.mkstemp``)
+costs the disk tier, never the run.  The tests make both faults
+themselves: a patched ``mkstemp`` and entries truncated after ``put``.
 """
 
+import errno
+import itertools
+import os
 import pickle
 import sys
+import tempfile
 import threading
 
 import pytest
 
-from repro.chaos import configure_chaos, reset_chaos
 from repro.exec.cache import ResultCache
 from repro.obs.metrics import build_unified_registry
-
-
-@pytest.fixture(autouse=True)
-def clean_chaos():
-    reset_chaos()
-    yield
-    reset_chaos()
 
 
 TOKEN = "ab" + "cd" * 31  # hex-shaped, realistic two-char shard prefix
@@ -38,6 +36,18 @@ def plant_corruption(tmp_path, token=TOKEN, data=b"\x80torn pickle!"):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
     return cache, path
+
+
+def tear(path):
+    """Chop an entry in half, as a crash mid-write would leave it."""
+    try:
+        os.truncate(path, path.stat().st_size // 2)
+    except FileNotFoundError:
+        pass  # never landed (full disk), or a reader quarantined it
+
+
+def full_disk(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 class TestQuarantine:
@@ -76,8 +86,8 @@ class TestQuarantine:
 
 
 class TestChaosWriteFaults:
-    def test_enospc_degrades_to_memory_only(self, tmp_path):
-        configure_chaos("cache-enospc:p=1")
+    def test_enospc_degrades_to_memory_only(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "mkstemp", full_disk)
         cache = ResultCache(disk_dir=tmp_path)
         cache.put(TOKEN, {"v": 1})
         # The write was swallowed; the memory tier still serves.
@@ -87,18 +97,29 @@ class TestChaosWriteFaults:
         assert ResultCache(disk_dir=tmp_path).get(TOKEN) is None
 
     def test_torn_write_quarantines_on_next_read(self, tmp_path):
-        configure_chaos("cache-torn:p=1,times=1")
         writer = ResultCache(disk_dir=tmp_path)
         writer.put(TOKEN, {"v": list(range(256))})
+        tear(entry_path(writer))
         reader = ResultCache(disk_dir=tmp_path)
         assert reader.get(TOKEN) is None
         assert reader.stats.quarantined == 1
 
-    def test_concurrent_readers_vs_faulty_writer_never_raise(self, tmp_path):
-        # Satellite (d): readers hammering tokens while a writer's
-        # writes are being torn and ENOSPC'd must only ever see a hit,
-        # a miss, or a quarantine — never an exception.
-        configure_chaos("cache-torn:p=0.5,seed=3;cache-enospc:p=0.3,seed=4")
+    def test_concurrent_readers_vs_faulty_writer_never_raise(
+        self, tmp_path, monkeypatch
+    ):
+        # Readers hammering tokens while a writer's writes are being
+        # torn and ENOSPC'd must only ever see a hit, a miss, or a
+        # quarantine — never an exception.  Every third write finds
+        # the disk full; every other entry that lands is torn.
+        mkstemp = tempfile.mkstemp
+        writes = itertools.count(1)
+
+        def full_every_third(*args, **kwargs):
+            if next(writes) % 3 == 0:
+                full_disk()
+            return mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", full_every_third)
         tokens = [f"{i:02x}" + "ef" * 31 for i in range(16)]
         writer = ResultCache(disk_dir=tmp_path)
         errors = []
@@ -128,14 +149,16 @@ class TestChaosWriteFaults:
             thread.start()
         try:
             for round_number in range(30):
-                for token in tokens:
+                for index, token in enumerate(tokens):
                     writer.put(token, {"token": token, "round": round_number})
+                    if (index + round_number) % 2:
+                        tear(entry_path(writer, token))
         finally:
             stop.set()
             for thread in threads:
                 thread.join(timeout=30.0)
             sys.setswitchinterval(switch_interval)
         assert not errors
-        # The chaos actually fired: at least one reader quarantined a
-        # torn entry (p=0.5 over 480 writes cannot all miss).
+        # The faults reached the readers: at least one of them
+        # quarantined a torn entry.
         assert sum(cache.stats.quarantined for cache in readers) >= 1

@@ -84,12 +84,6 @@ class TestDeterminism:
 
 
 class TestExecutorMechanics:
-    def test_progress_reports_every_index_in_order(self):
-        plan = small_plan(base_seed=3)
-        seen: list[int] = []
-        Executor(cache=None).run(plan, progress=seen.append)
-        assert seen == list(range(len(plan)))
-
     def test_generic_jobs_without_cache_token(self):
         jobs = [SquareJob(n) for n in range(12)]
         assert Executor(cache=ResultCache()).map(jobs) == [

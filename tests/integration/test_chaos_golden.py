@@ -1,37 +1,50 @@
-"""Golden outputs under injected faults: chaos must not move a byte.
+"""Golden outputs under faults the tests inject: no fault moves a byte.
 
-The acceptance bar for the whole resilience layer: ``reproduce`` under
-each fault family — workers SIGKILL'd mid-batch, result frames
-corrupted on the pipe, disk-cache writes torn, workers stalled — emits
-output byte-identical to the committed goldens, because every recovery
-path re-executes jobs from their own seeds.  A run SIGKILL'd from the
-outside and restarted with ``--resume`` completes to the identical
-artifact as well.
+The acceptance bar for every recovery path: ``reproduce`` emits output
+byte-identical to the committed goldens while the test SIGKILLs warm
+workers mid-batch, flips a byte of a result frame on its way into the
+coordinator, stops a worker for a moment, or fills and tears the disk
+cache — because every recovery path re-executes jobs from their own
+seeds.  A run SIGKILL'd from the outside and restarted with
+``--resume`` completes to the identical artifact as well.
+
+Each fault comes from the test itself, through a signal or a wrapper
+that ``monkeypatch`` undoes when the test ends; the product has no
+fault hooks.  Each case also asserts that its fault fired and which
+recovery answered it, so a fault that silently stops firing fails.
 """
 
+import errno
+import itertools
 import os
 import signal
+import struct
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.backend import (
+    GLOBAL_STATS,
+    WarmBackend,
+    frames,
     set_default_backend,
     set_default_deadline,
     set_default_jobs,
     warm_available,
 )
-from repro.chaos import configure_chaos, get_injector, reset_chaos
 from repro.cli import main
 from repro.exec import set_default_batch
+from repro.exec.cache import default_cache
 
 GOLDEN = Path(__file__).parent / "golden"
 
 pytestmark = pytest.mark.skipif(
-    not warm_available(), reason="chaos fault points live in the warm backend"
+    not warm_available(), reason="the faults target the warm backend"
 )
 
 
@@ -48,7 +61,20 @@ def clean_defaults():
     set_default_batch(None)
     set_default_backend(None)
     set_default_deadline(None)
-    reset_chaos()
+
+
+@pytest.fixture(autouse=True)
+def fail_instead_of_hanging():
+    """A lost recovery path leaves the coordinator waiting on a dead or
+    stopped worker forever; turn that into a failure."""
+    def hung(signum, frame):
+        raise TimeoutError("the run did not finish within 120 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def reproduce(capsys, artifact, *flags):
@@ -56,89 +82,166 @@ def reproduce(capsys, artifact, *flags):
     return capsys.readouterr().out
 
 
-#: Each fault family at a rate that demonstrably fires on these sweeps.
-#: frame-corrupt can hit a frame's length field and wedge the reader,
-#: so it runs with a deadline — the watchdog turns the wedge into a
-#: revive, which costs time, never bytes.
-CHAOS_MATRIX = [
-    ("worker-kill", ["--chaos", "worker-kill:p=0.2,seed=1"]),
-    ("frame-corrupt",
-     ["--chaos", "frame-corrupt:p=0.05,seed=2", "--deadline", "5"]),
-    ("cache-corruption",
-     ["--chaos", "cache-torn:p=0.5,seed=3;cache-enospc:p=0.3,seed=4"]),
-    ("slow-worker",
-     ["--chaos", "slow-worker:p=0.2,seed=5,stall=0.05"]),
-]
+def reproduce_warm(capsys, artifact, *flags):
+    return reproduce(
+        capsys, artifact, "--jobs", "2", "--backend", "warm", *flags
+    )
 
 
-def fault_flags(fault, flags, tmp_path):
-    """The matrix flags, plus the disk tier the cache faults need."""
-    if fault == "cache-corruption":
-        return [*flags, "--cache-dir", str(tmp_path / "cache")]
-    return list(flags)
+def _holder(backend, batch_id):
+    """The worker a just-submitted batch was dispatched to."""
+    return next(w for w in backend._workers if batch_id in w.inflight)
+
+
+def kill_every_third_batch(monkeypatch):
+    """SIGKILL the worker holding every third batch right after submit."""
+    submit = WarmBackend.submit
+    batches = itertools.count(1)
+
+    def submit_then_kill(self, jobs):
+        batch_id = submit(self, jobs)
+        if next(batches) % 3 == 0:
+            os.kill(_holder(self, batch_id).pid, signal.SIGKILL)
+        return batch_id
+
+    monkeypatch.setattr(WarmBackend, "submit", submit_then_kill)
+
+
+def corrupt_first_results_frame(monkeypatch):
+    """Flip the last payload byte of the first result frame read.
+
+    Only a chunk that starts on a frame boundary (an empty reader
+    buffer) is walked, so the flip always lands inside a RESULTS
+    payload, never in a header.  Returns the list of flipped offsets.
+    """
+    feed = frames.FrameReader.feed
+    flipped = []
+
+    def corrupting_feed(self, data):
+        offset = len(data) if flipped or self._buffer else 0
+        while offset + frames.HEADER_SIZE <= len(data):
+            length, kind = struct.unpack_from("<IB", data, offset)
+            end = offset + frames.HEADER_SIZE + length
+            if kind == frames.RESULTS and end <= len(data):
+                damaged = bytearray(data)
+                damaged[end - 1] ^= 0xFF
+                flipped.append(end - 1)
+                return feed(self, bytes(damaged))
+            offset = end
+        return feed(self, data)
+
+    monkeypatch.setattr(frames.FrameReader, "feed", corrupting_feed)
+    return flipped
+
+
+def stop_second_batch_briefly(monkeypatch):
+    """SIGSTOP the worker holding the second batch; SIGCONT it 0.2 s
+    later.  Returns the list of started timers."""
+    submit = WarmBackend.submit
+    batches = itertools.count(1)
+    timers = []
+
+    def submit_then_stop(self, jobs):
+        batch_id = submit(self, jobs)
+        if next(batches) == 2:
+            pid = _holder(self, batch_id).pid
+            os.kill(pid, signal.SIGSTOP)
+            timer = threading.Timer(0.2, os.kill, (pid, signal.SIGCONT))
+            timer.start()
+            timers.append(timer)
+        return batch_id
+
+    monkeypatch.setattr(WarmBackend, "submit", submit_then_stop)
+    return timers
+
+
+# -- the fault families: each runs one artifact and checks its recovery ---
+
+def worker_kill(artifact, capsys, caplog, monkeypatch, tmp_path):
+    kill_every_third_batch(monkeypatch)
+    restarts = GLOBAL_STATS.worker_restarts
+    out = reproduce_warm(capsys, artifact)
+    assert GLOBAL_STATS.worker_restarts > restarts  # EOF revived them
+    return out
+
+
+def frame_corrupt(artifact, capsys, caplog, monkeypatch, tmp_path):
+    flipped = corrupt_first_results_frame(monkeypatch)
+    restarts = GLOBAL_STATS.worker_restarts
+    with caplog.at_level("WARNING", logger="repro.backend.warm"):
+        out = reproduce_warm(capsys, artifact)
+    assert len(flipped) == 1
+    assert "frame checksum mismatch" in caplog.text
+    assert GLOBAL_STATS.worker_restarts > restarts
+    return out
+
+
+def cache_corruption(artifact, capsys, caplog, monkeypatch, tmp_path):
+    # Run once with every third disk write failing for a full disk,
+    # tear every other entry that landed, then run again from a fresh
+    # memory tier: intact entries are disk hits, torn ones are
+    # quarantined, missing ones recompute.
+    cache_dir = str(tmp_path / "cache")
+    mkstemp = tempfile.mkstemp
+    writes = itertools.count(1)
+    refused = []
+
+    def full_every_third(*args, **kwargs):
+        if next(writes) % 3 == 0:
+            refused.append(args)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return mkstemp(*args, **kwargs)
+
+    with monkeypatch.context() as full_disk:
+        full_disk.setattr(tempfile, "mkstemp", full_every_third)
+        first = reproduce_warm(capsys, artifact, "--cache-dir", cache_dir)
+    entries = sorted(Path(cache_dir).rglob("*.pkl"))
+    assert entries and refused
+    for entry in entries[::2]:
+        os.truncate(entry, entry.stat().st_size // 2)
+    second = reproduce_warm(capsys, artifact, "--cache-dir", cache_dir)
+    stats = default_cache().stats
+    assert stats.quarantined == len(entries[::2])
+    assert stats.disk_hits == len(entries) - len(entries[::2])
+    assert first == second
+    return second
+
+
+def slow_worker(artifact, capsys, caplog, monkeypatch, tmp_path):
+    timers = stop_second_batch_briefly(monkeypatch)
+    try:
+        out = reproduce_warm(capsys, artifact)
+    finally:
+        for timer in timers:
+            timer.join()
+    assert len(timers) == 1
+    return out
+
+
+FAULTS = {
+    "worker-kill": worker_kill,
+    "frame-corrupt": frame_corrupt,
+    "cache-corruption": cache_corruption,
+    "slow-worker": slow_worker,
+}
 
 
 class TestChaosGoldenMatrix:
-    @pytest.mark.parametrize(
-        "fault,flags", CHAOS_MATRIX, ids=[f for f, _ in CHAOS_MATRIX]
-    )
+    @pytest.mark.parametrize("fault", FAULTS)
     def test_figure4_survives_byte_identically(
-        self, capsys, tmp_path, fault, flags
+        self, capsys, caplog, monkeypatch, tmp_path, fault
     ):
         golden = (GOLDEN / "figure4.txt").read_text()
-        out = reproduce(
-            capsys, "figure4", "--jobs", "2", "--backend", "warm",
-            *fault_flags(fault, flags, tmp_path),
-        )
+        out = FAULTS[fault]("figure4", capsys, caplog, monkeypatch, tmp_path)
         assert out == golden
-        # The run was not a placebo: at least one fault evaluated.
-        counts = get_injector().counts()
-        assert sum(evaluated for evaluated, _ in counts.values()) > 0
 
-    @pytest.mark.parametrize(
-        "fault,flags", CHAOS_MATRIX, ids=[f for f, _ in CHAOS_MATRIX]
-    )
+    @pytest.mark.parametrize("fault", FAULTS)
     def test_figure9_survives_byte_identically(
-        self, capsys, tmp_path, fault, flags
+        self, capsys, caplog, monkeypatch, tmp_path, fault
     ):
         golden = (GOLDEN / "figure9.txt").read_text()
-        out = reproduce(
-            capsys, "figure9", "--jobs", "2", "--backend", "warm",
-            *fault_flags(fault, flags, tmp_path),
-        )
+        out = FAULTS[fault]("figure9", capsys, caplog, monkeypatch, tmp_path)
         assert out == golden
-
-    def test_worker_kill_actually_fired(self, capsys):
-        reproduce(
-            capsys, "figure4", "--jobs", "2", "--backend", "warm",
-            "--chaos", "worker-kill:p=0.2,seed=1",
-        )
-        evaluated, fired = get_injector().counts()["worker-kill"]
-        assert fired >= 1, f"p=0.2 never fired over {evaluated} dispatches"
-
-
-class TestChaosReplay:
-    def test_fault_pattern_is_a_pure_function_of_the_spec(self, capsys):
-        # The replay pin at the CLI level: which evaluations fire is
-        # decided by the spec's seeded stream alone.  Replaying the
-        # run's evaluation count offline against a fresh injector must
-        # land exactly the same number of fires, at the same stream
-        # positions.  (The evaluation count itself varies with worker
-        # timing — each kill re-dispatches — so it is measured, not
-        # pinned.)
-        from repro.chaos import ChaosInjector
-
-        spec = "worker-kill:p=0.3,seed=9"
-        reproduce(capsys, "figure4", "--jobs", "2", "--backend", "warm",
-                  "--chaos", spec)
-        evaluated, fired = get_injector().counts()["worker-kill"]
-        assert fired >= 1
-
-        replay = ChaosInjector.from_spec(spec)
-        refired = sum(
-            replay.should_fire("worker-kill") for _ in range(evaluated)
-        )
-        assert refired == fired
 
 
 class TestCrashSafeResume:
@@ -203,12 +306,14 @@ class TestCrashSafeResume:
         assert not list((tmp_path / "journals").glob("*.journal"))
 
     def test_resume_composes_with_chaos_and_warm_backend(
-        self, capsys, tmp_path
+        self, capsys, monkeypatch, tmp_path
     ):
         golden = (GOLDEN / "figure4.txt").read_text()
-        out = reproduce(
-            capsys, "figure4", "--jobs", "2", "--backend", "warm",
-            "--chaos", "worker-kill:p=0.2,seed=1",
+        kill_every_third_batch(monkeypatch)
+        restarts = GLOBAL_STATS.worker_restarts
+        out = reproduce_warm(
+            capsys, "figure4",
             "--resume", "--journal-dir", str(tmp_path / "journals"),
         )
         assert out == golden
+        assert GLOBAL_STATS.worker_restarts > restarts

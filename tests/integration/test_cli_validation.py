@@ -5,12 +5,16 @@ code 2 — never a traceback from deep inside the engine or the service
 stack.
 """
 
+import socket
 from pathlib import Path
 
 import pytest
 
-from repro.backend import set_default_backend, set_default_deadline
-from repro.chaos import reset_chaos
+from repro.backend import (
+    set_default_backend,
+    set_default_deadline,
+    set_default_slow_threshold,
+)
 from repro.cli import main
 from repro.exec import set_default_batch, set_default_jobs
 
@@ -23,20 +27,25 @@ def clean_defaults(monkeypatch):
     monkeypatch.delenv("REPRO_BATCH", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_DEADLINE", raising=False)
-    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+    monkeypatch.delenv("REPRO_SLOW_JOB", raising=False)
     yield
     set_default_jobs(None)
     set_default_batch(None)
     set_default_backend(None)
     set_default_deadline(None)
-    reset_chaos()
+    set_default_slow_threshold(None)
 
 
-def expect_error(capsys, argv, message):
-    assert main(argv) == 2
+def expect_error(capsys, argv, message, code=2):
+    assert main(argv) == code
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    return err
+
+
+def refuse_to_serve(**kwargs):
+    pytest.fail("repro serve started despite a bad setting")
 
 
 class TestJobsValidation:
@@ -113,60 +122,6 @@ class TestBackendValidation:
         expect_error(
             capsys, ["serve", "--backend", "bogus"],
             "error: unknown backend 'bogus'",
-        )
-
-
-class TestChaosValidation:
-    def test_unknown_fault_point_exit_2(self, capsys):
-        expect_error(
-            capsys, ["reproduce", "figure4", "--chaos", "bogus-point"],
-            "error: unknown chaos fault point 'bogus-point'",
-        )
-
-    def test_malformed_parameter_exit_2(self, capsys):
-        expect_error(
-            capsys, ["reproduce", "figure4", "--chaos", "worker-kill:p"],
-            "error: chaos parameter must be key=value",
-        )
-
-    def test_out_of_range_probability_exit_2(self, capsys):
-        expect_error(
-            capsys, ["reproduce", "figure4", "--chaos", "worker-kill:p=2"],
-            "error: chaos probability must be in [0, 1]",
-        )
-
-    def test_bad_env_chaos_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "bogus-point")
-        expect_error(
-            capsys, ["reproduce", "figure4"],
-            "error: unknown chaos fault point 'bogus-point'",
-        )
-
-    def test_explicit_chaos_shadows_bad_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "bogus-point")
-        assert main(
-            ["reproduce", "figure4", "--chaos", "worker-kill:p=0"]
-        ) == 0
-        capsys.readouterr()
-
-    def test_env_chaos_reaches_the_injector(self, capsys, monkeypatch):
-        from repro.chaos import get_injector
-
-        monkeypatch.setenv("REPRO_CHAOS", "worker-kill:p=0,seed=5")
-        assert main(["reproduce", "figure4"]) == 0
-        capsys.readouterr()
-        assert get_injector().configured("worker-kill")
-
-    def test_trace_validates_chaos_too(self, capsys):
-        expect_error(
-            capsys, ["trace", "figure4", "--chaos", "bogus-point"],
-            "error: unknown chaos fault point",
-        )
-
-    def test_serve_validates_chaos_too(self, capsys):
-        expect_error(
-            capsys, ["serve", "--chaos", "bogus-point"],
-            "error: unknown chaos fault point",
         )
 
 
@@ -292,6 +247,34 @@ class TestRemovedSpanTree:
         assert served["report"] == local.report()
 
 
+class TestRemovedChaos:
+    """The fault injector is gone: ``--chaos`` is refused up front and a
+    leftover ``REPRO_CHAOS`` changes nothing."""
+
+    # Each command line is also invalid in a way the command itself
+    # rejects, so a build that accepted --chaos again would fail fast
+    # here instead of running an artifact or a server.
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "figure4", "--chaos", "worker-kill:p=1",
+         "--repeats", "0"],
+        ["trace", "figure4", "--chaos", "worker-kill:p=1", "--repeats", "0"],
+        ["serve", "--chaos", "worker-kill:p=1", "--workers", "0"],
+    ])
+    def test_chaos_flag_is_unrecognized(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --chaos" in err
+        assert "Traceback" not in err
+
+    def test_stale_env_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS", "bogus-point")
+        assert main(["reproduce", "figure4", "--jobs", "2"]) == 0
+        golden = (GOLDEN / "figure4.txt").read_text()
+        assert capsys.readouterr().out == golden
+
+
 class TestDeadlineValidation:
     @pytest.mark.parametrize("bad", ["0", "-1.5"])
     def test_non_positive_deadline_exit_2(self, capsys, bad):
@@ -302,11 +285,36 @@ class TestDeadlineValidation:
 
     def test_bad_env_deadline_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_DEADLINE", "soon")
-        # The env chain is consulted lazily by the backend; the CLI
-        # flag path itself must still validate eagerly.
+        # The backend reads the variable only mid-run; the CLI must
+        # resolve it before running anything.
+        err = expect_error(
+            capsys, ["reproduce", "figure4", "--jobs", "2"],
+            "error: REPRO_DEADLINE must be a number of seconds, got 'soon'",
+        )
+        assert err.count("\n") == 1
+
+    def test_bad_env_slow_job_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SLOW_JOB", "-1")
+        err = expect_error(
+            capsys, ["trace", "figure4", "--jobs", "2"],
+            "error: REPRO_SLOW_JOB must be > 0 seconds, got -1.0",
+        )
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("var,value,message", [
+        ("REPRO_DEADLINE", "soon", "must be a number of seconds"),
+        ("REPRO_SLOW_JOB", "-1", "must be > 0 seconds"),
+    ])
+    def test_serve_validates_env_before_serving(
+        self, capsys, monkeypatch, var, value, message
+    ):
+        # --slow-job-threshold 0 turns the flag off, so the variable is
+        # what the service would use.
+        monkeypatch.setenv(var, value)
+        monkeypatch.setattr("repro.service.run_service", refuse_to_serve)
         expect_error(
-            capsys, ["reproduce", "figure4", "--deadline", "0"],
-            "error: deadline must be > 0 seconds",
+            capsys, ["serve", "--slow-job-threshold", "0"],
+            f"error: {var} {message}",
         )
 
     def test_serve_validates_deadline_too(self, capsys):
@@ -314,6 +322,45 @@ class TestDeadlineValidation:
             capsys, ["serve", "--deadline", "0"],
             "error: deadline must be > 0 seconds",
         )
+
+
+class TestPortValidation:
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--port", "99999"],
+        ["serve", "--port", "-1"],
+        ["submit", "figure4", "--port", "65536"],
+        ["status", "--health", "--port", "-1"],
+    ])
+    def test_out_of_range_port_exit_2(self, capsys, argv):
+        err = expect_error(
+            capsys, argv,
+            f"error: port must be in 0..65535, got {argv[-1]}",
+        )
+        assert err.count("\n") == 1
+
+    def test_busy_port_is_one_error_line(self, capsys):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            err = expect_error(
+                capsys, ["serve", "--port", str(port)],
+                f"error: cannot listen on 127.0.0.1:{port} (", code=1,
+            )
+        assert err.count("\n") == 1
+
+
+class TestResumeValidation:
+    def test_journal_dir_that_is_a_file_exit_2(self, capsys, tmp_path):
+        not_a_dir = tmp_path / "journals"
+        not_a_dir.write_text("")
+        err = expect_error(
+            capsys,
+            ["reproduce", "figure4", "--resume",
+             "--journal-dir", str(not_a_dir)],
+            f"error: cannot open a resume journal under {not_a_dir} (",
+        )
+        assert err.count("\n") == 1
 
 
 class TestServeValidation:

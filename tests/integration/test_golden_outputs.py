@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.backend import set_default_backend
-from repro.chaos import reset_chaos
 from repro.cli import main
 from repro.exec import set_default_batch, set_default_jobs
 
@@ -35,7 +34,6 @@ def clean_defaults():
     set_default_jobs(None)
     set_default_batch(None)
     set_default_backend(None)
-    reset_chaos()
 
 
 def reproduce(capsys, artifact, *flags):

@@ -2,18 +2,21 @@
 
 Units stub out ``_call_once`` so the policy is tested against exact
 failure sequences without sockets; the end-to-end class drives a live
-service with ``queue-full`` and ``conn-drop`` chaos and shows the
-default client riding straight through faults that kill a
-``retry=False`` client.
+service whose queue rejects one submission or whose server hangs up on
+one connection, and shows the default client riding straight through
+faults that kill a ``retry=False`` client.  The tests make those
+faults by patching ``JobQueue.push`` and the server's connection
+handler; ``monkeypatch`` undoes both.
 """
 
 import time
 
 import pytest
 
-from repro.chaos import configure_chaos, reset_chaos
 from repro.obs.metrics import build_unified_registry
 from repro.service import (
+    JobQueue,
+    QueueFull,
     RetryBudgetExceeded,
     ServiceClient,
     ServiceConnectionError,
@@ -21,13 +24,7 @@ from repro.service import (
     ServiceInThread,
 )
 from repro.service import protocol
-
-
-@pytest.fixture(autouse=True)
-def clean_chaos():
-    reset_chaos()
-    yield
-    reset_chaos()
+from repro.service.server import MeasurementServer
 
 
 @pytest.fixture(autouse=True)
@@ -57,6 +54,44 @@ def scripted_client(failures, payload=None, **kwargs):
 
 def queue_full(retry_after=None):
     return ServiceError(protocol.E_QUEUE_FULL, "queue full", retry_after)
+
+
+def reject_next_push(monkeypatch):
+    """The next ``JobQueue.push`` raises ``QueueFull`` exactly as a
+    saturated queue would, ``retry_after`` hint and all.  Returns the
+    list the rejection is recorded in."""
+    push = JobQueue.push
+    rejected = []
+
+    def push_or_reject(self, *args, **kwargs):
+        if not rejected:
+            rejected.append(True)
+            raise QueueFull(self.depth, self.max_depth, self.retry_after_hint())
+        return push(self, *args, **kwargs)
+
+    monkeypatch.setattr(JobQueue, "push", push_or_reject)
+    return rejected
+
+
+def drop_first_connection(monkeypatch):
+    """The server handles the first connection's request, then hangs up
+    without writing the response — the worst case for a client, which
+    cannot know whether the request took effect.  Patch before the
+    service starts: the handler is bound when the server binds.
+    Returns the list the drop is recorded in."""
+    handle = MeasurementServer._handle_connection
+    dropped = []
+
+    async def drop_once(self, reader, writer):
+        if dropped:
+            return await handle(self, reader, writer)
+        dropped.append(True)
+        await self._respond(await reader.readline())
+        writer.close()
+        await writer.wait_closed()
+
+    monkeypatch.setattr(MeasurementServer, "_handle_connection", drop_once)
+    return dropped
 
 
 class TestRetryPolicy:
@@ -147,10 +182,10 @@ class TestBackoff:
 
 
 class TestChaosEndToEnd:
-    def test_queue_full_chaos_is_ridden_out_by_default(self):
-        # Every other submission is rejected with backpressure; the
+    def test_queue_full_chaos_is_ridden_out_by_default(self, monkeypatch):
+        # One submission per client is rejected with backpressure; the
         # default client retries through, the no-retry client dies.
-        configure_chaos("queue-full:p=1,times=1")
+        reject_next_push(monkeypatch)
         with ServiceInThread(workers=1, queue_depth=16) as handle:
             with ServiceClient(
                 handle.host, handle.port, retry=False
@@ -158,24 +193,25 @@ class TestChaosEndToEnd:
                 with pytest.raises(ServiceError) as excinfo:
                     brittle.submit_artifact("figure4", repeats=1)
                 assert excinfo.value.code == protocol.E_QUEUE_FULL
-            reset_chaos()
-            configure_chaos("queue-full:p=1,times=1")
+            rejected = reject_next_push(monkeypatch)
             with ServiceClient(handle.host, handle.port) as client:
                 job = client.submit_artifact("figure4", repeats=1)
                 result = client.wait(job["id"], timeout=120.0)
+        assert rejected
         assert "report" in result
 
-    def test_conn_drop_chaos_reconnects_transparently(self):
-        configure_chaos("conn-drop:p=1,times=1")
+    def test_conn_drop_chaos_reconnects_transparently(self, monkeypatch):
+        dropped = drop_first_connection(monkeypatch)
         with ServiceInThread(workers=1, queue_depth=16) as handle:
             with ServiceClient(handle.host, handle.port) as client:
                 # First request's response is dropped on the floor;
                 # the client reconnects and retries.
                 health = client.health()
+        assert dropped
         assert health["status"] == "ok"
 
-    def test_conn_drop_without_retry_is_a_loud_error(self):
-        configure_chaos("conn-drop:p=1,times=1")
+    def test_conn_drop_without_retry_is_a_loud_error(self, monkeypatch):
+        drop_first_connection(monkeypatch)
         with ServiceInThread(workers=1, queue_depth=16) as handle:
             with ServiceClient(
                 handle.host, handle.port, retry=False
