@@ -23,6 +23,7 @@ from repro.backend.knobs import (
     resolve_batch_cap,
     resolve_deadline,
     resolve_jobs,
+    resolve_serve_slow_threshold,
     resolve_slow_threshold,
     set_default_backend,
     set_default_batch,
@@ -55,6 +56,7 @@ __all__ = [
     "resolve_batch_cap",
     "resolve_deadline",
     "resolve_jobs",
+    "resolve_serve_slow_threshold",
     "resolve_slow_threshold",
     "set_default_backend",
     "set_default_batch",

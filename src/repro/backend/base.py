@@ -12,11 +12,11 @@ job list into adaptively sized batches, keeps every worker fed, and
 reassembles results in submission order.
 
 Backends are interchangeable by contract: every job carries its
-complete seed and boots its own machine, so the backend must never be
-observable in the results — only in wall-clock time and in the
-``repro_backend_*`` accounting.  ``tests/backend/test_backends.py``
-and the golden matrix in ``tests/integration/test_golden_outputs.py``
-pin this.
+complete seed and runs on a machine in that seed's boot state, so the
+backend must never be observable in the results — only in wall-clock
+time and in the ``repro_backend_*`` accounting.
+``tests/backend/test_backends.py`` and the golden matrix in
+``tests/integration/test_golden_outputs.py`` pin this.
 
 **Adaptive batch sizing.**  The driver asks its
 :class:`AdaptiveBatchSizer` before each dispatch.  With no measured

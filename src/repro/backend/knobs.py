@@ -35,6 +35,10 @@ _default_backend: str | None = None
 _default_deadline: float | None = None
 _default_slow_threshold: float | None = None
 
+#: ``repro serve``'s slow-job threshold when neither its flag nor
+#: ``REPRO_SLOW_JOB`` sets one.
+SERVE_SLOW_JOB_S = 30.0
+
 
 def _chain(
     explicit: Any,
@@ -207,3 +211,18 @@ def resolve_slow_threshold(explicit: float | None = None) -> float | None:
         explicit, _default_slow_threshold, "slow-job threshold",
         "REPRO_SLOW_JOB", _positive_seconds, _parse_seconds,
     )
+
+
+def resolve_serve_slow_threshold(flag: float | None) -> float | None:
+    """``repro serve``'s slow-job threshold in seconds, or None when off.
+
+    Chain: ``--slow-job-threshold`` > $REPRO_SLOW_JOB >
+    :data:`SERVE_SLOW_JOB_S`; a flag of 0 turns the watchdog off.
+    """
+    if flag == 0:
+        return None
+    threshold = _chain(
+        flag, None, "slow-job threshold", "REPRO_SLOW_JOB",
+        _positive_seconds, _parse_seconds,
+    )
+    return SERVE_SLOW_JOB_S if threshold is None else threshold

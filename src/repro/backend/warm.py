@@ -24,9 +24,9 @@ snapshot stores in every worker.  The warm backend removes all three:
 
 Determinism is untouched: a worker rebuilds each job as
 ``dataclasses.replace(template config, seed=entry seed)`` — the same
-frozen config the coordinator holds — and every job boots its own
-machine from its own seed, so results are byte-identical to the inline
-backend no matter which worker runs which batch in which order.  A
+frozen config the coordinator holds — and every job runs on a machine
+in the boot state of its own seed, so results are byte-identical to the
+inline backend no matter which worker runs which batch in which order.  A
 worker that dies mid-batch (OOM-killed, crashed) is detected by pipe
 EOF, respawned, re-registered, and its in-flight batches re-dispatched;
 ``repro_backend_worker_restarts`` counts it, the results do not change.
@@ -320,7 +320,7 @@ class WarmBackend(ExecutionBackend):
         The drain is bounded by the grace deadline: a worker wedged on
         a stuck job cannot hold shutdown (this runs atexit) hostage —
         when the deadline passes, remaining batches are abandoned and
-        live workers terminated.
+        live workers killed.
         """
         with self._execute_lock:
             return self._shutdown_locked(grace)
@@ -350,7 +350,9 @@ class WarmBackend(ExecutionBackend):
         for worker in self._workers:
             worker.proc.join(timeout=max(0.1, deadline - time.monotonic()))
             if worker.proc.is_alive():
-                worker.proc.terminate()
+                # SIGKILL, not SIGTERM: a stopped worker never acts on
+                # SIGTERM, and interpreter exit would then hang joining it.
+                worker.proc.kill()
                 worker.proc.join(timeout=1.0)
             worker.close()
         self._workers.clear()

@@ -52,6 +52,7 @@ from typing import Sequence
 from repro.backend import (
     resolve_backend_name,
     resolve_deadline,
+    resolve_serve_slow_threshold,
     resolve_slow_threshold,
     set_default_backend,
     set_default_deadline,
@@ -261,9 +262,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-request server-side handler timeout",
     )
     serve.add_argument(
-        "--slow-job-threshold", type=float, default=30.0, metavar="SECONDS",
+        "--slow-job-threshold", type=float, default=None, metavar="SECONDS",
         help="warn (structured log + metric) when a job runs longer than "
-             "this; 0 disables the watchdog",
+             "this (default: REPRO_SLOW_JOB, else 30); 0 disables the "
+             "watchdog",
     )
     serve.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
@@ -520,9 +522,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         queue_depth=args.queue_depth,
         request_timeout=args.request_timeout,
-        slow_job_threshold=(
-            args.slow_job_threshold if args.slow_job_threshold > 0 else None
-        ),
+        slow_job_threshold=args.slow_job_threshold,
         backend=args.backend,
     )
 
@@ -649,13 +649,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             resolve_backend_name()  # surface a bad REPRO_BACKEND early
             set_default_deadline(args.deadline)
             resolve_deadline()  # ...and a bad REPRO_DEADLINE
-            # Route the threshold through the knob chain so backend
-            # collect loops see it too, not just the scheduler.
-            set_default_slow_threshold(
-                args.slow_job_threshold if args.slow_job_threshold > 0
-                else None
-            )
-            resolve_slow_threshold()  # ...and a bad REPRO_SLOW_JOB
+            # Set the resolved threshold as the process default so
+            # backend collect loops see it too, not just the scheduler.
+            args.slow_job_threshold = resolve_serve_slow_threshold(
+                args.slow_job_threshold
+            )  # ...and a bad REPRO_SLOW_JOB
+            set_default_slow_threshold(args.slow_job_threshold)
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

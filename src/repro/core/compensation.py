@@ -51,9 +51,10 @@ def calibrate(
 ) -> CompensationModel:
     """Run null probes under ``config`` and summarize their counts.
 
-    Each probe boots a fresh machine with its own seed — the same
-    fresh-process discipline the study itself uses — so the median is
-    robust against the occasional interrupt landing inside a probe.
+    Each probe runs on a machine in the boot state of its own seed —
+    the same fresh-process discipline the study itself uses — so the
+    median is robust against the occasional interrupt landing inside a
+    probe.
     """
     if n_probes < 1:
         raise ConfigurationError(f"need >= 1 probe, got {n_probes}")

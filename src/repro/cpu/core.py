@@ -44,6 +44,10 @@ DEADLINE_EPSILON_S = 1e-15
 #: its charge vector ``work.amounts + (cycles, cycles * 0.1)``.
 WorkCost = tuple[float, tuple[float, ...]]
 
+#: Most cache warm-up cycles a loop execution is charged (drawn uniformly
+#: below this bound once per loop).
+LOOP_WARMUP_CYCLES = 150.0
+
 #: The one-instruction vectors the counter-access instructions retire.
 _ALU = WorkVector.single("alu")
 _SERIALIZING = WorkVector.single("serializing")
@@ -70,7 +74,9 @@ class Core:
     Args:
         uarch: the micro-architecture to instantiate.
         rng: seeded randomness for the core's micro-state noise
-            (counter skid at interrupt boundaries, loop warm-up).
+            (counter skid at interrupt boundaries, loop warm-up); a
+            machine passes None and hands its generator over in
+            :meth:`reset`.
         governor: cpufreq governor pinning or wandering the clock.
         timing: the timing model; built from ``uarch`` when omitted.
         cycle_memos: straight-line costs of ``timing``, keyed by clock
@@ -78,18 +84,22 @@ class Core:
             ``(cycles, charge vector)``.  Boot images share one mapping
             across every machine they boot; a private one is made when
             omitted.
+        loop_warmup: charge first-iteration warm-up cycles to loops.
+
+    The constructor builds the core's parts and ends in :meth:`reset`,
+    the one place that sets the state a run changes.
     """
 
     def __init__(
         self,
         uarch: MicroArch,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         governor: Governor = Governor.PERFORMANCE,
         timing: TimingModel | None = None,
         cycle_memos: dict[float, dict[WorkVector, WorkCost]] | None = None,
+        loop_warmup: bool = True,
     ) -> None:
         self.uarch = uarch
-        self.rng = rng
         self.pmu = uarch.make_pmu()
         self.msr = MsrFile(self.pmu, uarch.event_codes, uarch.evtsel_codec)
         # The timing model is a frozen value object: boot snapshots
@@ -99,12 +109,7 @@ class Core:
         self.freq = FrequencyPolicy(
             p_states_hz=uarch.p_states_hz(), governor=governor
         )
-        self.mode = PrivLevel.KERNEL
-        self.cycle = 0.0
-        self.wall_s = 0.0
-        self.user_rdpmc_enabled = False
         self.interrupt_source: InterruptSource | None = None
-        self.interrupts_masked = False
         #: Probability that an interrupt boundary skids the user-mode
         #: instruction count, and the direction bias of that skid.
         #: These model the counter start/stop race at privilege
@@ -113,10 +118,7 @@ class Core:
         self.skid_probability = 0.0
         self.skid_bias = 0.0
         self.skid_magnitude = 1
-        #: Maximum cache warm-up cycles charged once per loop execution.
-        self.loop_warmup_cycles = 150.0
-        #: Optional retirement observer (see :mod:`repro.trace`).
-        self.tracer = None
+        self._boot_loop_warmup_cycles = LOOP_WARMUP_CYCLES if loop_warmup else 0.0
         # -- hot-loop memoization (pure derived values) -------------------
         # Cycle costs depend only on (timing, work, clock ratio) and loop
         # CPI only on (body, address, clock ratio); under the paper's
@@ -133,6 +135,31 @@ class Core:
             self._memo_hz / uarch.freq_hz, {}
         )
         self._loop_cpi_memo: dict[tuple[Chunk, int], float] = {}
+        self.reset(rng)
+
+    def reset(self, rng: np.random.Generator | None) -> None:
+        """Return to the state of a newly booted core that draws from
+        ``rng``.
+
+        Clears the clocks, the privilege and interrupt state and the
+        PMU, and pins the frequency back to the governor's boot clock.
+        The timing memos are pure caches and survive; when an ondemand
+        retune left the clock elsewhere they are re-keyed to it.
+        """
+        self.rng = rng
+        self.mode = PrivLevel.KERNEL
+        self.cycle = 0.0
+        self.wall_s = 0.0
+        self.user_rdpmc_enabled = False
+        self.interrupts_masked = False
+        #: Optional retirement observer (see :mod:`repro.trace`).
+        self.tracer = None
+        #: Maximum cache warm-up cycles charged once per loop execution.
+        self.loop_warmup_cycles = self._boot_loop_warmup_cycles
+        self.pmu.reset()
+        self.freq.reset()
+        if self.freq.current_hz != self._memo_hz:
+            self._invalidate_timing_memos(self.freq.current_hz)
 
     def _invalidate_timing_memos(self, current_hz: float) -> None:
         """Re-key derived cycle costs after a governor retune."""

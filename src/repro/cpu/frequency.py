@@ -66,6 +66,10 @@ class FrequencyPolicy:
                 raise ConfigurationError(
                     "userspace governor needs userspace_hz set to a P-state"
                 )
+        self.reset()
+
+    def reset(self) -> None:
+        """Return the clock to the frequency the governor boots at."""
         self.current_hz = self._pinned_hz()
 
     def on_decision_point(self, rng: np.random.Generator) -> bool:

@@ -144,8 +144,20 @@ class Pmu:
             FixedCounter(i, event, counter_width)
             for i, event in enumerate(fixed_events)
         ]
-        self._tsc = 0.0
+        self.reset()
         self.on_overflow = on_overflow
+
+    def reset(self) -> None:
+        """Power-on state: every counter unprogrammed, disabled and zero,
+        the TSC at zero, nothing bound and no overflow handler."""
+        for counter in self.counters:
+            counter.config = None
+            counter._value = 0.0
+        for fixed in self.fixed:
+            fixed.priv = _NONE
+            fixed._value = 0.0
+        self._tsc = 0.0
+        self.on_overflow: Callable[[int], None] | None = None
         #: Per privilege level, the ``(counter, slot)`` pairs of every
         #: live counter whose filter admits that level and whose event
         #: has a slot: programmable counters by index, then fixed ones.

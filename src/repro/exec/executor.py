@@ -13,9 +13,9 @@ for — ``--backend`` / ``REPRO_BACKEND``, defaulting to the persistent
 ``warm`` fleet when ``--jobs > 1`` — and every choice is
 **deterministic and interchangeable**: every job carries its complete
 seed (derived per configuration by ``config_seed``), each measurement
-boots its own machine, and results are reassembled in plan order — so
-inline, warm, cached, and uncached runs produce byte-identical
-tables.  ``tests/exec/test_executor.py`` and the golden matrix in
+runs on a machine in the boot state of that seed, and results are
+reassembled in plan order — so inline, warm, cached, and uncached runs
+produce byte-identical tables.  ``tests/exec/test_executor.py`` and the golden matrix in
 ``tests/integration/test_golden_outputs.py`` prove this.
 
 Worker-count and batch-cap knobs live in :mod:`repro.backend.knobs`

@@ -135,7 +135,7 @@ class MeasurementJob:
     tags: tuple[tuple[str, Any], ...] = ()
 
     def execute(self) -> MeasurementResult:
-        """Run the measurement (boots a fresh, seeded machine)."""
+        """Run the measurement (on a machine in its seed's boot state)."""
         return run_measurement(self.config, self.benchmark.build())
 
     def cache_token(self) -> str:

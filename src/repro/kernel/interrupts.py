@@ -35,12 +35,14 @@ class InterruptController:
     Args:
         build: the kernel build (HZ, handler sizes, extension hooks).
         scheduler: notified on every timer tick.
-        rng: seeded randomness for interrupt phase, I/O arrivals, and
-            I/O handler sizes.
         io_interrupts: set False to disable non-timer interrupts
             (useful for deterministic unit tests).
         chunks: prebuilt handler chunks from a boot snapshot; built
             from ``build`` when omitted.
+
+    The controller delivers nothing until :meth:`reset` hands it the
+    machine's seeded generator (interrupt phase, I/O arrivals, I/O
+    handler sizes) and draws the first deadlines from it.
 
     ``next_deadline_s`` always holds the earliest of ``next_timer_s``
     and ``next_io_s`` (``inf`` while the controller is disabled): every
@@ -53,24 +55,13 @@ class InterruptController:
         self,
         build: KernelBuildConfig,
         scheduler: "Scheduler",
-        rng: np.random.Generator,
         io_interrupts: bool = True,
         chunks: KernelChunkSet | None = None,
     ) -> None:
         self.build = build
         self.scheduler = scheduler
-        self.rng = rng
-        self._enabled = True
         self.tick_period_s = 1.0 / build.hz
-        # Random phase: successive boots see interrupts at different
-        # offsets, which is what turns rare interrupt hits into the
-        # outliers of the paper's box plots.
-        self._next_timer_s = float(rng.uniform(0, self.tick_period_s))
         self.io_rate_hz = build.io_irq_rate_hz if io_interrupts else 0.0
-        self._next_io_s = self._draw_io_arrival(0.0)
-        self._refresh_deadline()
-        self.ticks_delivered = 0
-        self.io_delivered = 0
         if chunks is None:
             chunks = KernelChunkSet.for_build(build)
         self._irq_entry = chunks.irq_entry
@@ -78,6 +69,20 @@ class InterruptController:
         self._tick_body = chunks.timer_tick
         self._ext_hook = chunks.ext_tick_hook
         self._governor_body = chunks.governor
+
+    def reset(self, rng: np.random.Generator) -> None:
+        """Enable delivery, draw the first timer and I/O deadlines from
+        ``rng`` and zero the delivered counts."""
+        self.rng = rng
+        self._enabled = True
+        # Random phase: successive boots see interrupts at different
+        # offsets, which is what turns rare interrupt hits into the
+        # outliers of the paper's box plots.
+        self._next_timer_s = float(rng.uniform(0, self.tick_period_s))
+        self._next_io_s = self._draw_io_arrival(0.0)
+        self._refresh_deadline()
+        self.ticks_delivered = 0
+        self.io_delivered = 0
 
     # -- deadline state ------------------------------------------------------
 

@@ -38,12 +38,7 @@ class Scheduler:
         self.core = core
         self.build = build
         self.quantum_ticks = quantum_ticks
-        self.threads: list[Thread] = []
-        self.current: Thread | None = None
         self.switch_listeners: list[SwitchListener] = []
-        self.switches = 0
-        self._next_tid = 1
-        self._ticks_in_quantum = 0
         # Boot snapshots pass the prebuilt chunk; a bare Scheduler
         # builds its own.
         self._switch_chunk = (
@@ -51,6 +46,16 @@ class Scheduler:
             if switch_chunk is not None
             else build.costs.context_switch_chunk()
         )
+        self.reset()
+
+    def reset(self) -> None:
+        """Drop every thread (and with them every extension's
+        per-thread state); the switch listeners stay registered."""
+        self.threads: list[Thread] = []
+        self.current: Thread | None = None
+        self.switches = 0
+        self._next_tid = 1
+        self._ticks_in_quantum = 0
 
     def spawn(self, name: str) -> Thread:
         """Create a runnable thread."""

@@ -52,6 +52,10 @@ class Machine:
             boot from; when omitted, one is fetched from the default
             snapshot store (and ``processor``/``kernel`` select it).
             An explicit image overrides ``processor`` and ``kernel``.
+
+    The constructor builds the object graph and ends in
+    :meth:`reset`, which a cold boot and a reused machine both go
+    through.
     """
 
     def __init__(
@@ -68,28 +72,24 @@ class Machine:
         # The seed-independent half of the boot (registry validation,
         # timing model, kernel chunk builds) comes from a snapshot
         # image; identical templates share one image via the default
-        # store.  Everything below this line is seed-dependent and is
-        # built fresh, in cold-boot order, so the machine draws the
-        # same random stream either way.
+        # store.  The graph built here holds no seed-dependent state:
+        # :meth:`reset` sets all of it.
         if image is None:
             image = boot_image(processor, kernel)
         self.image = image
         self.build = image.build
-        self.rng = np.random.default_rng(seed)
         self.uarch: MicroArch = image.uarch
         self.core = Core(
-            self.uarch, self.rng, governor=governor, timing=image.timing,
-            cycle_memos=image.cycle_memos,
+            self.uarch, None, governor=governor, timing=image.timing,
+            cycle_memos=image.cycle_memos, loop_warmup=loop_warmup,
         )
-        if not loop_warmup:
-            self.core.loop_warmup_cycles = 0.0
         self.syscalls = SyscallTable()
         self.scheduler = Scheduler(
             self.core, self.build, quantum_ticks,
             switch_chunk=image.chunks.context_switch,
         )
         self.controller = InterruptController(
-            self.build, self.scheduler, self.rng,
+            self.build, self.scheduler,
             io_interrupts=io_interrupts, chunks=image.chunks,
         )
         self.core.interrupt_source = self.controller
@@ -99,9 +99,27 @@ class Machine:
         self.core.skid_magnitude = skid.magnitude
         extension = image.extension
         self.extension: Any = extension(self) if extension is not None else None
-        self.main_thread: Thread = self.scheduler.spawn("main")
         self._entry_chunk = image.chunks.syscall_entry
         self._exit_chunk = image.chunks.syscall_exit
+        self.reset(seed)
+
+    def reset(self, seed: int) -> None:
+        """Boot state for ``seed``: the state a new machine has.
+
+        Re-seeds the generator and hands it to the core and the
+        interrupt controller, clears the core (with its PMU), the
+        threads and the delivered and invoked counts, and draws the
+        first interrupt deadlines, in cold-boot order, so the machine
+        draws the same random stream as a newly built one.  Syscall
+        registrations and switch listeners stay; the threads that held
+        the extension's per-thread state are gone.
+        """
+        self.rng = rng = np.random.default_rng(seed)
+        self.core.reset(rng)
+        self.scheduler.reset()
+        self.controller.reset(rng)
+        self.syscalls.invocations.clear()
+        self.main_thread: Thread = self.scheduler.spawn("main")
         # Boot complete: hand the core to user space.
         self.core.mode = PrivLevel.USER
 

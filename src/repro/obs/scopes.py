@@ -13,7 +13,11 @@ self time, so the self times plus the time outside every scope (the
 Alongside the times the tracer keeps exact counts that repeat from run
 to run of one seed: loop trips, timer ticks and simulated cycles of the
 measured machines, jobs handed to ``Executor.map``, jobs and batches
-dispatched to a backend, and boot-image snapshot hits.
+dispatched to a backend, and boot-image snapshot hits.  Apart from
+those it reports how many measurements were answered by replaying a
+recorded interrupt-free run (:mod:`repro.core.measurement`): such a
+measurement calls ``run_measurement`` but retires nothing and boots
+nothing.
 
 Nothing in the program knows it is being observed: only the ``trace``
 command imports this module, and an untraced run executes none of it.
@@ -36,6 +40,7 @@ import sys
 import time
 from typing import Any, Callable
 
+from repro.core import measurement
 from repro.kernel import snapshot
 
 #: (scope, module, attribute path) for every fixed layer boundary.
@@ -110,12 +115,15 @@ class ScopeTracer:
         self.artifacts: dict[str, float] = {}
         #: Boundaries this program does not have (renamed or removed).
         self.missing: list[str] = []
+        #: Measurements answered from a recorded run.
+        self.replayed = 0
         self.wall_s = 0.0
         self._child = [0.0]
         self._measuring = False
         self._booted: list[Any] = []
         self._originals: list[tuple[Any, str, Any]] = []
         self._snapshots = (0, 0)
+        self._replays = 0
         self._start = 0.0
 
     def __enter__(self) -> "ScopeTracer":
@@ -148,6 +156,7 @@ class ScopeTracer:
             _fork_hook_registered = True
         stats = snapshot.GLOBAL_STATS
         self._snapshots = (stats.hits, stats.lookups)
+        self._replays = measurement.replayed()
 
     def uninstall(self) -> None:
         """Put every original function back (idempotent)."""
@@ -158,6 +167,7 @@ class ScopeTracer:
         hits, lookups = self._snapshots
         self.counts["snapshot_hits"] = stats.hits - hits
         self.counts["snapshot_lookups"] = stats.lookups - lookups
+        self.replayed = measurement.replayed() - self._replays
         for owner, name, original in reversed(self._originals):
             setattr(owner, name, original)
         self._originals.clear()
@@ -334,6 +344,7 @@ class ScopeTracer:
             },
             "artifacts": dict(self.artifacts),
             "counts": dict(self.counts),
+            "replayed": self.replayed,
             "missing": list(self.missing),
         }
 
@@ -362,6 +373,7 @@ def render(payload: dict[str, Any]) -> str:
     lines.append("exact counts:")
     for name, value in payload["counts"].items():
         lines.append(f"  {name:<24} {value!r}")
+    lines.append(f"replayed measurements: {payload['replayed']}")
     if payload["missing"]:
         lines.append("missing boundaries: " + ", ".join(payload["missing"]))
     return "\n".join(lines)

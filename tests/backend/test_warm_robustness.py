@@ -7,11 +7,16 @@ undisturbed run — every job re-executes from its own seed — and the
 ``repro_backend_worker_restarts`` accounting must record the incident.
 """
 
+import contextlib
 import os
 import pickle
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -270,6 +275,55 @@ class TestGracefulShutdown:
         while any(p.is_alive() for p in procs) and time.monotonic() < deadline:
             time.sleep(0.01)
         assert not any(proc.is_alive() for proc in procs)
+
+    def test_shutdown_reaps_a_stopped_worker(self):
+        # A stopped worker does not act on SIGTERM: shutdown must still
+        # end it, or interpreter exit hangs joining it.
+        backend = make_backend("warm", workers=2)
+        backend.prepare(list(small_plan(base_seed=4)))
+        procs = [worker.proc for worker in backend._workers]
+        os.kill(procs[0].pid, signal.SIGSTOP)
+        try:
+            backend.shutdown(grace=0.5)
+            assert [proc.is_alive() for proc in procs] == [False, False]
+            assert all(proc.exitcode is not None for proc in procs)
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    os.kill(proc.pid, signal.SIGKILL)
+
+    def test_process_with_a_stopped_worker_exits(self):
+        script = textwrap.dedent("""
+            import os, signal
+            from repro.backend import make_backend
+            from tests.backend.test_warm_robustness import small_plan
+
+            backend = make_backend("warm", workers=2)
+            backend.prepare(list(small_plan(base_seed=4)))
+            print(*backend.worker_pids, flush=True)
+            os.kill(backend.worker_pids[0], signal.SIGSTOP)
+            backend.shutdown(grace=0.5)
+        """)
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            text=True, env=env, cwd=root,
+        )
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        try:
+            assert proc.wait(timeout=20) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in pids:  # a hung run leaves its stopped worker
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        assert len(pids) == 2
 
     def test_shutdown_is_idempotent_and_submit_after_is_an_error(self):
         backend = make_backend("warm", workers=2)

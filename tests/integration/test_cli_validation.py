@@ -308,13 +308,35 @@ class TestDeadlineValidation:
     def test_serve_validates_env_before_serving(
         self, capsys, monkeypatch, var, value, message
     ):
-        # --slow-job-threshold 0 turns the flag off, so the variable is
-        # what the service would use.
         monkeypatch.setenv(var, value)
         monkeypatch.setattr("repro.service.run_service", refuse_to_serve)
+        expect_error(capsys, ["serve"], f"error: {var} {message}")
+
+    @pytest.mark.parametrize("env,argv,threshold", [
+        ("5", [], 5.0),
+        (None, [], 30.0),
+        ("5", ["--slow-job-threshold", "7"], 7.0),
+        ("5", ["--slow-job-threshold", "0"], None),
+        ("-1", ["--slow-job-threshold", "7"], 7.0),
+    ], ids=["env", "default", "flag-wins", "flag-off", "flag-skips-env"])
+    def test_serve_slow_job_threshold_chain(
+        self, monkeypatch, env, argv, threshold
+    ):
+        # --slow-job-threshold > REPRO_SLOW_JOB > 30 s, as the scheduler
+        # receives it.
+        if env is not None:
+            monkeypatch.setenv("REPRO_SLOW_JOB", env)
+        served = {}
+        monkeypatch.setattr("repro.service.run_service",
+                            lambda **kwargs: served.update(kwargs) or 0)
+        assert main(["serve", *argv]) == 0
+        assert served["slow_job_threshold"] == threshold
+
+    def test_serve_negative_slow_job_threshold_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("repro.service.run_service", refuse_to_serve)
         expect_error(
-            capsys, ["serve", "--slow-job-threshold", "0"],
-            f"error: {var} {message}",
+            capsys, ["serve", "--slow-job-threshold", "-1"],
+            "error: slow-job threshold must be > 0 seconds, got -1.0",
         )
 
     def test_serve_validates_deadline_too(self, capsys):

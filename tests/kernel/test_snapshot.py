@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.benchmarks import NullBenchmark
+from repro.core.benchmarks import LoopBenchmark, NullBenchmark
 from repro.core.config import MeasurementConfig
 from repro.core.measurement import run_measurement
+from repro.cpu.events import Event, PrivFilter
 from repro.errors import ConfigurationError
 from repro.kernel import snapshot as snapshot_mod
 from repro.kernel.calibration import KERNEL_BUILDS, KernelBuildConfig
@@ -28,6 +29,9 @@ from repro.kernel.snapshot import (
     configure_default_store,
 )
 from repro.kernel.system import Machine
+from repro.perfctr.libperfctr import LibPerfctr
+
+from tests.kernel.machine_state import dirty, machine_state
 
 
 @pytest.fixture(autouse=True)
@@ -83,6 +87,32 @@ class TestSnapshotBootEquivalence:
             )
             assert cold.controller.next_timer_s == warm.controller.next_timer_s
             assert cold.controller.next_io_s == warm.controller.next_io_s
+
+    def test_reset_after_a_dirty_measurement_equals_cold_boot(self):
+        """A reused machine: after a measurement that took interrupts
+        and left state of every kind behind, a reset leaves the state
+        and the random stream of a cold boot with the same seed."""
+        image = BootImage.capture("CD", "perfctr")
+        machine = Machine(seed=99, image=image)
+        for seed in (0, 7, 123):
+            lib = LibPerfctr(machine)
+            lib.open()
+            lib.control(((Event.INSTR_RETIRED, PrivFilter.ALL),))
+            LoopBenchmark(2_000_000).run(machine, address=0x0804_9000)
+            lib.read()
+            assert machine.controller.ticks_delivered > 0
+            dirty(machine)
+            machine.reset(seed)
+            configure_default_store(enabled=False)
+            cold = Machine(processor="CD", kernel="perfctr", seed=seed)
+            configure_default_store(enabled=True)
+            assert (
+                cold.rng.bit_generator.state
+                == machine.rng.bit_generator.state
+            )
+            assert cold.controller.next_timer_s == machine.controller.next_timer_s
+            assert cold.controller.next_io_s == machine.controller.next_io_s
+            assert machine_state(machine) == machine_state(cold)
 
     def test_measurements_identical_with_store_on_and_off(self):
         config = MeasurementConfig(seed=11)

@@ -17,6 +17,7 @@ import types
 import pytest
 
 from repro.cli import main
+from repro.core import measurement
 from repro.exec import cache as cache_mod
 from repro.kernel import snapshot
 from repro.obs import scopes
@@ -39,11 +40,14 @@ def layers():
 
 @pytest.fixture
 def cold(monkeypatch):
-    """Give the next run an empty result cache and snapshot store, as a
-    fresh CLI process has; call it again before each further run."""
+    """Give the next run an empty result cache and snapshot store, no
+    resident machines and no recorded runs, as a fresh CLI process has;
+    call it again before each further run."""
     def reset():
         monkeypatch.setattr(cache_mod, "_default", cache_mod.ResultCache())
         monkeypatch.setattr(snapshot, "_default", snapshot.SnapshotStore())
+        monkeypatch.setattr(measurement, "_resident", measurement._Resident())
+        monkeypatch.setattr(measurement, "_RECORDINGS", {})
     return reset
 
 
@@ -118,8 +122,12 @@ class TestPinnedToPerfbench:
         calls = {scope: row["calls"] for scope, row in traced["scopes"].items()}
         assert calls["cpu.retire"] == 8530
         assert calls["cpu.pmu_count"] == 16
-        assert calls["cpu.loop"] == calls["kernel.boot"] == 162
-        assert calls["core.run_measurement"] == 162
+        assert calls["cpu.loop"] == calls["core.run_measurement"] == 162
+        # One resident machine per template: PD, CD and K8, each under
+        # the perfctr and the perfmon kernel.
+        assert calls["kernel.boot"] == 6
+        # Loops draw their warm-up: none is recorded, none replayed.
+        assert traced["replayed"] == 0
         assert calls["kernel.syscall"] == 729
         assert calls["kernel.poll"] == traced["counts"]["ticks"] == 25
         assert (calls["perfctr"], calls["perfmon"], calls["papi"]) \
@@ -138,6 +146,17 @@ class TestClosure:
         assert 0.0 <= traced["unattributed_s"] <= 0.05 * wall
         for row in traced["scopes"].values():
             assert 0.0 <= row["self_s"] <= row["inclusive_s"] + 1e-9
+
+    def test_replayed_measurements_are_reported(self, cold, capsys):
+        cold()
+        traced = trace_json(capsys, "figure4", "--seed", "0")
+        measured = traced["scopes"]["core.run_measurement"]["calls"]
+        # Repeats of a null configuration whose seed's first deadline
+        # lies past the recorded run are replayed, not simulated.
+        assert 0 < traced["replayed"] < measured
+        assert "replayed" not in traced["counts"]
+        assert (f"replayed measurements: {traced['replayed']}"
+                in scopes.render(traced).splitlines())
 
     def test_table_renders_the_json_payload(self, capsys):
         traced = trace_json(capsys, "figure4", "--repeats", "1")
