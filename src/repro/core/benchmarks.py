@@ -28,9 +28,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Benchmark(abc.ABC):
-    """A measurable piece of code with an analytical work model."""
+    """A measurable piece of code with an analytical work model.
+
+    Benchmarks are values: two of the same class built from the same
+    constructor arguments (:attr:`params`) are equal and hash alike, so
+    they share recorded runs and memoized analytical counts.
+    """
 
     name: str
+    #: The constructor arguments the benchmark was built from.
+    params: tuple = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.params == self.params
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.params))
 
     @abc.abstractmethod
     def expected_work(self) -> WorkVector:
@@ -78,6 +91,7 @@ class LoopBenchmark(Benchmark):
                 f"loop benchmark needs >= 1 iteration, got {iterations}"
             )
         self.iterations = iterations
+        self.params = (iterations, source)
         self._assembled: AssembledLoop = assemble_loop(source, iterations)
         self._loop: Loop = self._assembled.to_loop()
 
@@ -131,6 +145,7 @@ class StridedLoadBenchmark(Benchmark):
         self.elements = elements
         self.stride_bytes = stride_bytes
         self.line_bytes = line_bytes
+        self.params = (elements, stride_bytes, line_bytes)
         header = Chunk(
             WorkVector(instructions=2), label="strided-header", size_bytes=10
         )

@@ -22,7 +22,7 @@ from repro.core.measurement import run_measurement
 from repro.core.sweep import config_seed
 from repro.cpu.events import Event
 from repro.cpu.frequency import Governor
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnsupportedPatternError
 from repro.kernel.calibration import KERNEL_BUILDS
 from repro.cpu.models import ALL_PROCESSORS
 
@@ -120,7 +120,8 @@ def advise(
                     errors.append(
                         float(run_measurement(config, NullBenchmark()).error)
                     )
-                except Exception:
+                except UnsupportedPatternError:
+                    # PAPI high level has no rr/ro (paper, Table 2).
                     errors = []
                     break
             if not errors:

@@ -16,16 +16,23 @@ count:
   the state a newly built machine has.  The resident machine never
   leaves this module: :func:`build_machine` and every other caller
   still get a machine of their own.
-* **Interrupt-free replay.**  Without an interrupt, a measurement is a
-  pure function of its configuration: after a reset, two seeds differ
-  only in the generator and the first interrupt deadlines, and a run
-  that drew nothing and delivered no interrupt read them only through
-  deadline tests that all failed.  So such a
-  run's outcome is recorded per configuration, and a later job of
-  that configuration whose first deadline lies past the recorded
-  run's end gets the recorded deltas without simulating: its run would
-  retire exactly the recorded sequence.  Loops (their warm-up draws),
-  traced runs and runs that took an interrupt are never recorded.
+* **Interrupt-free replay.**  Without an interrupt, a measurement's
+  instruction-domain counts are a fixed cost of its configuration plus
+  the benchmark's work (Sections 4–5): after a reset, two seeds differ
+  only in the generator and the first interrupt deadlines, and an
+  interrupt-free run reads the generator only for a loop's cache
+  warm-up, whose cycles reach the clocks, the TSC and the cycle-domain
+  counters but no retired-work count.  So a run that delivered no
+  interrupt is recorded when it drew nothing, or drew one loop warm-up
+  and programmed only work-derived events, together with a horizon
+  past which no seed's run of it ends.  A later job that reads the same
+  (configuration without seed or optimization level, benchmark,
+  placement of its code) and whose seed's first deadline lies past the
+  horizon gets the recorded deltas without simulating: its run would
+  retire the recorded instruction-domain sequence.  The decision is
+  made before the machine is touched.  Traced runs, runs that took an
+  interrupt, runs that drew more, and loops that count cycle-domain
+  events are never recorded.
 """
 
 from __future__ import annotations
@@ -34,13 +41,16 @@ import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.cpu.core import DEADLINE_EPSILON_S
-from repro.cpu.events import Event, events_from_work
+from repro.cpu.events import ARCHITECTURAL_EVENTS, Event, events_from_work
 from repro.core.benchmarks import Benchmark
 from repro.core.compiler import DEFAULT_GCC, GccModel
 from repro.core.config import MeasurementConfig, Mode
 from repro.core.patterns import run_pattern
 from repro.core.registry import make_interface
+from repro.kernel.interrupts import first_deadline_s
 from repro.kernel.snapshot import BootImage, boot_image
 from repro.kernel.system import Machine
 
@@ -127,9 +137,9 @@ def expected_count(
     return count
 
 
-#: Memo of the analytical counts, keyed by (benchmark, event).  Built
-#: benchmarks are shared per spec (``repro.exec.plan``), so a sweep has
-#: a handful of keys; clear defensively past the bound.
+#: Memo of the analytical counts, keyed by (benchmark, event).
+#: Benchmarks are values (equal when built alike), so a sweep has a
+#: handful of keys; clear defensively past the bound.
 _EXPECTED_MEMO: dict[tuple[Benchmark, Event], int] = {}
 _EXPECTED_MEMO_BOUND = 4096
 
@@ -158,6 +168,10 @@ class _Resident(threading.local):
     def __init__(self) -> None:
         self.machines: dict[tuple, Machine] = {}
         self.replayed = 0
+        #: Scratch generator for counting another generator's draws,
+        #: made on first use so that importing this module does not
+        #: load ``numpy.random``.
+        self.probe: np.random.PCG64 | None = None
 
 
 _resident = _Resident()
@@ -173,15 +187,10 @@ def replayed() -> int:
     return _resident.replayed
 
 
-def _machine_for(config: MeasurementConfig) -> Machine:
-    """A machine in the boot state of ``config``'s seed.
-
-    The boot image is looked up for every job, as a new machine would
-    look it up, so the snapshot store's accounting sees one lookup per
-    measurement; with the store off, every job gets a new image and so
-    a newly built machine.
-    """
-    image = boot_image(config.processor, config.substrate)
+def _machine_for(config: MeasurementConfig, image: BootImage) -> Machine:
+    """A machine booted from ``image`` in the boot state of ``config``'s
+    seed: this thread's resident machine for the image, reset, or a
+    newly built one."""
     machines = _resident.machines
     key = (id(image), config.governor, config.io_interrupts)
     machine = machines.get(key)
@@ -195,48 +204,75 @@ def _machine_for(config: MeasurementConfig) -> Machine:
 
 
 class Recording(NamedTuple):
-    """The outcome of one interrupt-free, draw-free run."""
+    """The outcome of one interrupt-free run that drew at most its loop
+    warm-up."""
 
-    #: The core's wall clock when the run ended.
-    wall_s: float
+    #: Past the latest wall clock any seed's run of the recorded job can
+    #: reach: the recorded end plus the largest loop warm-up.
+    horizon_s: float
     deltas: tuple[int, ...]
-    #: The core's cycle count when the run ended.
-    cycle: float
 
 
-#: Recorded runs, keyed by configuration without its seed plus the
-#: benchmark object and the compiler model.  Cleared when full, like
-#: the other memos.
+#: Recorded runs, keyed by :func:`_replay_key`.  Cleared when full,
+#: like the other memos.
 _RECORDINGS: dict[tuple, Recording] = {}
 _RECORDINGS_BOUND = 8192
 
 
-
 def _replay_key(
-    config: MeasurementConfig, benchmark: Benchmark, gcc: GccModel
+    config: MeasurementConfig, benchmark: Benchmark, address: int
 ) -> tuple:
+    """What a run reads of its job: the configuration without its seed
+    or optimization level, the benchmark, and where its code is placed
+    (None for a benchmark without code: nothing of it is placed)."""
     return (
         config.processor, config.infra, config.pattern, config.mode,
-        config.opt_level, config.n_counters, config.tsc,
-        config.primary_event, config.io_interrupts, config.governor,
-        benchmark, gcc,
+        config.n_counters, config.tsc, config.primary_event,
+        config.io_interrupts, config.governor,
+        benchmark, address if benchmark.code_size_bytes else None,
     )
 
 
-def _replays(machine: Machine, recording: Recording) -> bool:
-    """True when no interrupt deadline of the machine's seed falls
-    inside the recorded run, so every deadline test it made fails
-    again and the run would retire exactly the recorded sequence."""
+def _replays(
+    config: MeasurementConfig, image: BootImage, recording: Recording
+) -> bool:
+    """True when the first interrupt deadline of ``config``'s seed lies
+    past the recording's horizon, so every deadline test its run would
+    make fails and it would retire the recorded instruction-domain
+    sequence."""
     return (
-        machine.controller.next_deadline_s
-        > recording.wall_s + DEADLINE_EPSILON_S
+        first_deadline_s(config.seed, image.build, config.io_interrupts)
+        > recording.horizon_s + DEADLINE_EPSILON_S
     )
 
 
-def _drew(machine: Machine, boot_state: dict) -> bool:
-    """True when the run drew from the generator since ``boot_state``
-    (loop warm-up, skid, governor or I/O draws)."""
-    return machine.rng.bit_generator.state != boot_state
+def _horizon(machine: Machine) -> float:
+    """The recorded run's end plus the largest loop warm-up at the boot
+    clock (an interrupt-free run never leaves it): no seed's run of the
+    job, whatever its warm-up, ends later."""
+    core = machine.core
+    return core.wall_s + core.loop_warmup_cycles / core.freq.current_hz
+
+
+def _draws(rng: np.random.Generator, boot_state: dict) -> int:
+    """How many outputs ``rng`` drew since ``boot_state``: 0, 1 (one
+    loop warm-up, the only draw an interrupt-free run can make) or 2
+    for more."""
+    state = rng.bit_generator.state
+    if state == boot_state:
+        return 0
+    probe = _resident.probe
+    if probe is None:
+        probe = _resident.probe = np.random.PCG64(0)
+    probe.state = boot_state
+    probe.advance(1)
+    return 1 if probe.state == state else 2
+
+
+def _work_derived(config: MeasurementConfig) -> bool:
+    """True when every programmed event counts retired work, which a
+    loop's warm-up cycles do not reach."""
+    return all(event in ARCHITECTURAL_EVENTS for event in config.events())
 
 
 def _result(
@@ -269,19 +305,25 @@ def run_measurement(
     retirement (labeled by code path and harness phase) for error
     attribution; a traced run is always simulated and never recorded.
     """
-    machine = _machine_for(config)
+    # Looked up for every job, as a new machine would look it up, so
+    # the snapshot store's accounting sees one lookup per measurement;
+    # with the store off, every job gets a new image and so a newly
+    # built machine.
+    image = boot_image(config.processor, config.substrate)
     address = gcc.benchmark_address(config)
-    key = recording = boot_state = None
+    key = recording = None
     if tracer is None:
-        key = _replay_key(config, benchmark, gcc)
+        key = _replay_key(config, benchmark, address)
         recording = _RECORDINGS.get(key)
-        if recording is None:
-            boot_state = machine.rng.bit_generator.state
-        elif _replays(machine, recording):
+        if recording is not None and _replays(config, image, recording):
             _resident.replayed += 1
             return _result(config, benchmark, address, recording.deltas, 0)
-    else:
+    machine = _machine_for(config, image)
+    boot_state = None
+    if tracer is not None:
         machine.core.tracer = tracer
+    elif recording is None:
+        boot_state = machine.rng.bit_generator.state
     interface = make_interface(config, machine)
     interface.setup()
     c0, c1 = run_pattern(
@@ -293,12 +335,11 @@ def run_measurement(
         boot_state is not None
         and controller.ticks_delivered == 0
         and controller.io_delivered == 0
-        and not _drew(machine, boot_state)
     ):
-        if len(_RECORDINGS) >= _RECORDINGS_BOUND:
-            _RECORDINGS.clear()
-        _RECORDINGS[key] = Recording(
-            machine.core.wall_s, deltas, machine.core.cycle
-        )
+        draws = _draws(machine.rng, boot_state)
+        if draws == 0 or (draws == 1 and _work_derived(config)):
+            if len(_RECORDINGS) >= _RECORDINGS_BOUND:
+                _RECORDINGS.clear()
+            _RECORDINGS[key] = Recording(_horizon(machine), deltas)
     return _result(config, benchmark, address, deltas,
                    controller.ticks_delivered)

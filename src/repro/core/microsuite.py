@@ -45,6 +45,7 @@ class DependencyChainBenchmark(Benchmark):
         if length < 1:
             raise ConfigurationError(f"need >= 1 instruction, got {length}")
         self.length = length
+        self.params = (length,)
         self._chunk = Chunk(
             WorkVector(instructions=length),
             label="dependency-chain",
@@ -80,6 +81,7 @@ class BranchPatternBenchmark(Benchmark):
                 f"iterations must be even and >= 2, got {iterations}"
             )
         self.iterations = iterations
+        self.params = (iterations,)
         # Model two iterations at a time so the per-body work is exact:
         # inner branch taken once per pair.
         pair = WorkVector(
@@ -126,6 +128,7 @@ class SyscallBenchmark(Benchmark):
         if calls < 1:
             raise ConfigurationError(f"need >= 1 call, got {calls}")
         self.calls = calls
+        self.params = (calls,)
 
     def expected_work(self) -> WorkVector:
         """User-mode ground truth: one trap instruction per call."""

@@ -60,8 +60,7 @@ class InterruptController:
     ) -> None:
         self.build = build
         self.scheduler = scheduler
-        self.tick_period_s = 1.0 / build.hz
-        self.io_rate_hz = build.io_irq_rate_hz if io_interrupts else 0.0
+        self.tick_period_s, self.io_rate_hz = _rates(build, io_interrupts)
         if chunks is None:
             chunks = KernelChunkSet.for_build(build)
         self._irq_entry = chunks.irq_entry
@@ -72,14 +71,13 @@ class InterruptController:
 
     def reset(self, rng: np.random.Generator) -> None:
         """Enable delivery, draw the first timer and I/O deadlines from
-        ``rng`` and zero the delivered counts."""
+        ``rng`` (:func:`first_deadlines`) and zero the delivered
+        counts."""
         self.rng = rng
         self._enabled = True
-        # Random phase: successive boots see interrupts at different
-        # offsets, which is what turns rare interrupt hits into the
-        # outliers of the paper's box plots.
-        self._next_timer_s = float(rng.uniform(0, self.tick_period_s))
-        self._next_io_s = self._draw_io_arrival(0.0)
+        self._next_timer_s, self._next_io_s = first_deadlines(
+            rng, self.tick_period_s, self.io_rate_hz
+        )
         self._refresh_deadline()
         self.ticks_delivered = 0
         self.io_delivered = 0
@@ -165,7 +163,7 @@ class InterruptController:
 
     def _deliver_io(self, core: "Core") -> None:
         assert self.next_io_s is not None
-        self.next_io_s = self._draw_io_arrival(self.next_io_s)
+        self.next_io_s = _io_arrival(self.rng, self.io_rate_hz, self.next_io_s)
         self.io_delivered += 1
         lo, hi = self.build.io_handler_instructions
         body = kernel_chunk(int(self.rng.integers(lo, hi + 1)), "kernel:io-irq")
@@ -175,9 +173,42 @@ class InterruptController:
             core.execute_chunk(body)
             core.execute_chunk(self._irq_exit)
 
-    # -- helpers ------------------------------------------------------------
 
-    def _draw_io_arrival(self, now_s: float) -> float | None:
-        if self.io_rate_hz <= 0:
-            return None
-        return now_s + float(self.rng.exponential(1.0 / self.io_rate_hz))
+def _rates(
+    build: KernelBuildConfig, io_interrupts: bool
+) -> tuple[float, float]:
+    """A controller's tick period and I/O arrival rate (0 when off)."""
+    return 1.0 / build.hz, build.io_irq_rate_hz if io_interrupts else 0.0
+
+
+def _io_arrival(
+    rng: np.random.Generator, io_rate_hz: float, now_s: float
+) -> float | None:
+    if io_rate_hz <= 0:
+        return None
+    return now_s + float(rng.exponential(1.0 / io_rate_hz))
+
+
+def first_deadlines(
+    rng: np.random.Generator, tick_period_s: float, io_rate_hz: float
+) -> tuple[float, float | None]:
+    """The first timer deadline and the first I/O arrival (None without
+    I/O interrupts) a controller draws from its reset's generator."""
+    # Random phase: successive boots see interrupts at different
+    # offsets, which is what turns rare interrupt hits into the
+    # outliers of the paper's box plots.
+    timer = float(rng.uniform(0, tick_period_s))
+    return timer, _io_arrival(rng, io_rate_hz, 0.0)
+
+
+def first_deadline_s(
+    seed: int, build: KernelBuildConfig, io_interrupts: bool
+) -> float:
+    """When the first interrupt of a machine booted with ``seed`` on
+    ``build`` is due, found without a machine: the generator a reset
+    seeds makes no draw before the controller's, so these are the
+    controller's own first deadlines."""
+    timer, io = first_deadlines(
+        np.random.default_rng(seed), *_rates(build, io_interrupts)
+    )
+    return timer if io is None or timer <= io else io

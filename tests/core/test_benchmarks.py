@@ -9,6 +9,11 @@ from repro.core.benchmarks import (
     NullBenchmark,
     StridedLoadBenchmark,
 )
+from repro.core.microsuite import (
+    BranchPatternBenchmark,
+    DependencyChainBenchmark,
+    SyscallBenchmark,
+)
 from repro.errors import ConfigurationError
 from repro.kernel.system import Machine
 
@@ -122,3 +127,33 @@ class TestStrided:
         bench = StridedLoadBenchmark(777)
         bench.run(machine, 0x8048000)
         assert machine.core.pmu.read(0) == 777
+
+
+class TestValueEquality:
+    """Benchmarks built alike are equal and hash alike, so they share
+    recorded runs and memoized analytical counts."""
+
+    @pytest.mark.parametrize("make", [
+        NullBenchmark,
+        lambda: LoopBenchmark(1_000),
+        lambda: StridedLoadBenchmark(640, stride_bytes=32),
+        lambda: DependencyChainBenchmark(500),
+        lambda: BranchPatternBenchmark(500),
+        lambda: SyscallBenchmark(3),
+    ])
+    def test_built_alike_is_equal(self, make):
+        first, second = make(), make()
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+
+    @pytest.mark.parametrize("first, second", [
+        (LoopBenchmark(1_000), LoopBenchmark(1_001)),
+        (StridedLoadBenchmark(640, stride_bytes=32),
+         StridedLoadBenchmark(640, stride_bytes=64)),
+        (DependencyChainBenchmark(3), SyscallBenchmark(3)),
+        (NullBenchmark(), LoopBenchmark(1)),
+    ])
+    def test_different_parameters_or_class_differ(self, first, second):
+        assert first != second
+        assert len({first, second}) == 2

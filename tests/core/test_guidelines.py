@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.config import Mode
+from repro.core import guidelines, measurement
+from repro.core.config import Mode, Pattern
 from repro.core.guidelines import SUSPICIOUS_EVENTS, Recommendation, advise
 from repro.cpu.events import Event
 from repro.cpu.frequency import Governor
@@ -58,6 +59,29 @@ class TestAdvise:
     def test_unknown_processor(self):
         with pytest.raises(ConfigurationError, match="unknown processor"):
             advise(processor="P6")
+
+
+class TestCalibration:
+    def test_equal_null_benchmarks_share_recordings(self, monkeypatch):
+        """Each calibration run builds its own ``NullBenchmark()``; equal
+        benchmarks share a recording, so of the 20 usable (infra,
+        pattern) pairs' five runs each, one is recorded and four
+        replay."""
+        monkeypatch.setattr(measurement, "_RECORDINGS", {})
+        monkeypatch.setattr(measurement, "_resident", measurement._Resident())
+        rec = advise(processor="CD", mode=Mode.USER)
+        assert len(measurement._RECORDINGS) == 20
+        assert measurement.replayed() == 80
+        assert (rec.infra, rec.pattern, rec.expected_fixed_error) \
+            == ("pm", Pattern.START_READ, 38.0)
+
+    def test_only_unsupported_patterns_are_skipped(self, monkeypatch):
+        def broken(config, benchmark):
+            raise RuntimeError("kext handler failed")
+
+        monkeypatch.setattr(guidelines, "run_measurement", broken)
+        with pytest.raises(RuntimeError, match="kext handler failed"):
+            advise(processor="CD", mode=Mode.USER)
 
 
 class TestRecommendation:

@@ -126,7 +126,9 @@ class TestPinnedToPerfbench:
         # One resident machine per template: PD, CD and K8, each under
         # the perfctr and the perfmon kernel.
         assert calls["kernel.boot"] == 6
-        # Loops draw their warm-up: none is recorded, none replayed.
+        # Loops that drew only their warm-up are recorded, but at
+        # --repeats 1 each configuration and loop size runs once: no
+        # recording is read again, so none is replayed.
         assert traced["replayed"] == 0
         assert calls["kernel.syscall"] == 729
         assert calls["kernel.poll"] == traced["counts"]["ticks"] == 25
