@@ -34,9 +34,6 @@ Subpackages:
   contribution).
 * :mod:`repro.analysis` — box/violin summaries, regression, ANOVA.
 * :mod:`repro.experiments` — one module per paper table/figure.
-* :mod:`repro.service` — the engine as a long-lived asyncio service:
-  job queue with backpressure, in-flight dedup, metrics endpoint
-  (``repro serve`` / ``repro submit`` / ``repro status``).
 """
 
 from repro.analysis import ResultTable, anova_n_way, box_summary, fit_line

@@ -2,7 +2,7 @@
 
 Where batches of measurement jobs run: in-process (``inline``) or on
 the persistent warm-worker fleet (``warm``).  The executor in
-:mod:`repro.exec.executor` and the service scheduler both drive an
+:mod:`repro.exec.executor` drives an
 :class:`~repro.backend.base.ExecutionBackend`; which one is resolved
 by :func:`~repro.backend.knobs.resolve_backend_name`
 (``--backend`` / ``REPRO_BACKEND``).  See ``docs/backends.md``.
@@ -23,13 +23,11 @@ from repro.backend.knobs import (
     resolve_batch_cap,
     resolve_deadline,
     resolve_jobs,
-    resolve_serve_slow_threshold,
     resolve_slow_threshold,
     set_default_backend,
     set_default_batch,
     set_default_deadline,
     set_default_jobs,
-    set_default_slow_threshold,
 )
 from repro.backend.registry import (
     get_backend,
@@ -56,13 +54,11 @@ __all__ = [
     "resolve_batch_cap",
     "resolve_deadline",
     "resolve_jobs",
-    "resolve_serve_slow_threshold",
     "resolve_slow_threshold",
     "set_default_backend",
     "set_default_batch",
     "set_default_deadline",
     "set_default_jobs",
-    "set_default_slow_threshold",
     "shared_backends",
     "shutdown_backends",
     "warm_available",

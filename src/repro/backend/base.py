@@ -14,7 +14,7 @@ reassembles results in submission order.
 Backends are interchangeable by contract: every job carries its
 complete seed and runs on a machine in that seed's boot state, so the
 backend must never be observable in the results — only in wall-clock
-time and in the ``repro_backend_*`` accounting.
+time and in the :class:`BackendStats` accounting.
 ``tests/backend/test_backends.py`` and the golden matrix in
 ``tests/integration/test_golden_outputs.py`` pin this.
 
@@ -36,7 +36,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.backend.knobs import resolve_batch_cap
 from repro.kernel.snapshot import snapshot_hits_total
@@ -68,8 +68,8 @@ class BackendStats:
     frame_bytes_received: int = 0
 
 
-#: Process-lifetime aggregate over every backend instance, read by the
-#: unified metrics registry (``repro_backend_*`` gauges).
+#: Process-lifetime aggregate over every backend instance, so a test
+#: can see that a recovery happened on a shared backend it never held.
 GLOBAL_STATS = BackendStats()
 
 
@@ -178,10 +178,10 @@ class ExecutionBackend(abc.ABC):
         self.stats = BackendStats()
         self.sizer = AdaptiveBatchSizer()
         self.batch_cap = batch_cap
-        # Shared instances (get_backend) are driven from several
-        # scheduler threads at once; runs serialize here so submit/
-        # collect bookkeeping never interleaves.  Reentrant because
-        # subclasses wrap execute()/shutdown() and delegate to super().
+        # Shared instances (get_backend) may be driven from several
+        # threads at once; runs serialize here so submit/collect
+        # bookkeeping never interleaves.  Reentrant because subclasses
+        # wrap execute()/shutdown() and delegate to super().
         self._execute_lock = threading.RLock()
 
     # -- the backend contract ---------------------------------------------
@@ -250,10 +250,7 @@ class ExecutionBackend(abc.ABC):
         """
 
     def execute(
-        self,
-        jobs: Sequence[Any],
-        batch_cap: int | None = None,
-        on_batch: "Callable[[list[Any], list[Any]], None] | None" = None,
+        self, jobs: Sequence[Any], batch_cap: int | None = None
     ) -> ExecutionOutcome:
         """Run every job; results come back in submission order.
 
@@ -263,15 +260,9 @@ class ExecutionBackend(abc.ABC):
         slot outstanding plus one queued behind each, and each
         completed batch's measured cost re-tunes the next sizes.
 
-        ``on_batch``, when given, is called with ``(batch jobs, batch
-        results)`` as each batch is collected — the sweep journal hooks
-        in here so a run killed mid-plan has every *completed* batch on
-        disk, not just fully finished plans.
-
         Runs on one backend serialize: concurrent ``execute`` calls
-        (the service scheduler's thread slots all landing on the shared
-        warm fleet) queue on an internal lock rather than interleave
-        their dispatch bookkeeping.
+        (threads sharing one warm fleet) queue on an internal lock
+        rather than interleave their dispatch bookkeeping.
         """
         jobs = list(jobs)
         cap = resolve_batch_cap(
@@ -280,21 +271,17 @@ class ExecutionBackend(abc.ABC):
         with self._execute_lock:
             self._discard_inflight()
             try:
-                return self._execute_locked(jobs, cap, on_batch)
+                return self._execute_locked(jobs, cap)
             except BaseException:
                 self._discard_inflight()
                 raise
 
     def _execute_locked(
-        self,
-        jobs: list[Any],
-        cap: "int | None",
-        on_batch: "Callable[[list[Any], list[Any]], None] | None" = None,
+        self, jobs: list[Any], cap: "int | None"
     ) -> ExecutionOutcome:
         self.prepare(jobs)
         order: list[int] = []
         by_batch: dict[int, list[Any]] = {}
-        batch_jobs: dict[int, list[Any]] = {}
         cursor = 0
         snapshot_hits = 0
         max_inflight = max(1, self.workers) * 2
@@ -303,16 +290,12 @@ class ExecutionBackend(abc.ABC):
                 size = self._next_batch_size(len(jobs) - cursor, cap)
                 batch_id = self.submit(jobs[cursor:cursor + size])
                 order.append(batch_id)
-                if on_batch is not None:
-                    batch_jobs[batch_id] = jobs[cursor:cursor + size]
                 cursor += size
             done = self.collect()
             self.sizer.record(done.jobs, done.seconds)
             self._account_batch(done)
             by_batch[done.batch_id] = done.results
             snapshot_hits += done.snapshot_hits
-            if on_batch is not None:
-                on_batch(batch_jobs.pop(done.batch_id, []), done.results)
         results = [result for bid in order for result in by_batch[bid]]
         return ExecutionOutcome(
             results=results, batches=len(order), snapshot_hits=snapshot_hits

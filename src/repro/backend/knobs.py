@@ -1,11 +1,11 @@
 """Process-wide execution knobs, resolved through one precedence chain.
 
 These are the CLI's ``--jobs`` / ``--batch-size`` / ``--backend`` /
-``--deadline`` / ``--slow-job-threshold`` and their environment twins
-(``REPRO_JOBS``, ``REPRO_BATCH``, ``REPRO_BACKEND``,
-``REPRO_DEADLINE``, ``REPRO_SLOW_JOB``).  Every one resolves the same
-way: explicit argument, process default set by the CLI, environment
-variable, then a built-in fallback.
+``--deadline`` and their environment twins (``REPRO_JOBS``,
+``REPRO_BATCH``, ``REPRO_BACKEND``, ``REPRO_DEADLINE``).  Every one
+resolves the same way: explicit argument, process default set by the
+CLI, environment variable, then a built-in fallback.  The slow-job
+warning threshold has no flag: ``REPRO_SLOW_JOB`` alone sets it.
 
 They live here — below :mod:`repro.exec` and :mod:`repro.backend.base`
 — because both layers consult them; :mod:`repro.exec.executor`
@@ -33,11 +33,6 @@ _default_jobs: int | None = None
 _default_batch: int | None = None
 _default_backend: str | None = None
 _default_deadline: float | None = None
-_default_slow_threshold: float | None = None
-
-#: ``repro serve``'s slow-job threshold when neither its flag nor
-#: ``REPRO_SLOW_JOB`` sets one.
-SERVE_SLOW_JOB_S = 30.0
 
 
 def _chain(
@@ -193,36 +188,12 @@ def resolve_deadline(explicit: float | None = None) -> float | None:
     )
 
 
-def set_default_slow_threshold(seconds: float | None) -> None:
-    """Set the slow-job warning threshold (``--slow-job-threshold``)."""
-    global _default_slow_threshold
-    _default_slow_threshold = _positive_seconds(seconds, "slow-job threshold")
+def resolve_slow_threshold() -> float | None:
+    """Slow-job warning threshold in seconds from $REPRO_SLOW_JOB, or
+    None when it is unset.
 
-
-def resolve_slow_threshold(explicit: float | None = None) -> float | None:
-    """Slow-job warning threshold in seconds, or None when off.
-
-    Chain: explicit > set_default_slow_threshold > $REPRO_SLOW_JOB.
-    Crossing it warns (and counts into
-    ``repro_slow_job_warnings_total``) but never kills anything —
-    that's the deadline's job.
+    Crossing it logs a warning but never kills anything — that's the
+    deadline's job.
     """
-    return _chain(
-        explicit, _default_slow_threshold, "slow-job threshold",
-        "REPRO_SLOW_JOB", _positive_seconds, _parse_seconds,
-    )
-
-
-def resolve_serve_slow_threshold(flag: float | None) -> float | None:
-    """``repro serve``'s slow-job threshold in seconds, or None when off.
-
-    Chain: ``--slow-job-threshold`` > $REPRO_SLOW_JOB >
-    :data:`SERVE_SLOW_JOB_S`; a flag of 0 turns the watchdog off.
-    """
-    if flag == 0:
-        return None
-    threshold = _chain(
-        flag, None, "slow-job threshold", "REPRO_SLOW_JOB",
-        _positive_seconds, _parse_seconds,
-    )
-    return SERVE_SLOW_JOB_S if threshold is None else threshold
+    text = os.environ.get("REPRO_SLOW_JOB", "").strip()
+    return _parse_seconds(text, "REPRO_SLOW_JOB") if text else None

@@ -2,11 +2,11 @@
 
 :func:`get_backend` hands out *shared* instances keyed by
 ``(name, workers)`` — this is what makes the warm backend warm: every
-``get_executor()`` call, every service-scheduler job, every repeated
-sweep in one process lands on the same persistent worker fleet instead
-of spawning a new one.  An :mod:`atexit` hook shuts the fleet down.
-Which name a run gets (``--backend`` / ``REPRO_BACKEND``) is resolved
-by :func:`repro.backend.knobs.resolve_backend_name`.
+``get_executor()`` call and every repeated sweep in one process lands
+on the same persistent worker fleet instead of spawning a new one.  An
+:mod:`atexit` hook shuts the fleet down.  Which name a run gets
+(``--backend`` / ``REPRO_BACKEND``) is resolved by
+:func:`repro.backend.knobs.resolve_backend_name`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ if TYPE_CHECKING:
     from repro.backend.base import ExecutionBackend
 
 _shared: "dict[tuple[str, int], ExecutionBackend]" = {}
-#: Guards the check-then-insert on ``_shared``: scheduler threads call
-#: :func:`get_backend` concurrently and must not each spawn a fleet.
+#: Guards the check-then-insert on ``_shared``: threads that call
+#: :func:`get_backend` concurrently must not each spawn a fleet.
 _shared_lock = threading.Lock()
 _atexit_registered = False
 

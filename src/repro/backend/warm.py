@@ -7,8 +7,7 @@ snapshot stores in every worker.  The warm backend removes all three:
 
 * **Workers persist.**  N processes are forked once (per backend
   instance) and survive across :meth:`WarmBackend.execute` calls, so a
-  service handling many plans — or a sweep driving many runs — pays
-  spawn cost once.
+  sweep driving many runs pays spawn cost once.
 
 * **Frames, not pickles.**  Jobs travel as 12-byte
   ``(template id, seed)`` entries over a length-prefixed binary
@@ -29,7 +28,7 @@ in the boot state of its own seed, so results are byte-identical to the
 inline backend no matter which worker runs which batch in which order.  A
 worker that dies mid-batch (OOM-killed, crashed) is detected by pipe
 EOF, respawned, re-registered, and its in-flight batches re-dispatched;
-``repro_backend_worker_restarts`` counts it, the results do not change.
+``stats.worker_restarts`` counts it, the results do not change.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from repro.backend.knobs import (
     resolve_slow_threshold,
 )
 from repro.errors import ConfigurationError
-from repro.obs.metrics import inc_counter, observe_family
 
 log = logging.getLogger("repro.backend.warm")
 
@@ -244,9 +242,7 @@ class WarmBackend(ExecutionBackend):
         self._slow_warned: set[int] = set()
         self._next_batch = 0
         self._closed = False
-        #: Snapshot hits reported home, per worker slot (metrics feed).
-        self.worker_snapshot_hits: dict[int, int] = {}
-        #: Batches completed per worker slot (metrics feed).
+        #: Batches completed per worker slot.
         self.worker_batches: dict[int, int] = {}
 
     # -- lifecycle ----------------------------------------------------------
@@ -379,7 +375,6 @@ class WarmBackend(ExecutionBackend):
         self.stats.frame_bytes_sent += len(frame)
         GLOBAL_STATS.frames_sent += 1
         GLOBAL_STATS.frame_bytes_sent += len(frame)
-        observe_family("repro_backend_frame_bytes", "sent", len(frame))
 
     def _drain(self, timeout: "float | None") -> None:
         """Read whatever results have arrived; revive dead workers."""
@@ -417,11 +412,6 @@ class WarmBackend(ExecutionBackend):
     ) -> None:
         self.stats.frames_received += 1
         GLOBAL_STATS.frames_received += 1
-        observe_family(
-            "repro_backend_frame_bytes",
-            "received",
-            len(payload) + frames.HEADER_SIZE,
-        )
         if kind == frames.HELLO:
             return
         if kind == frames.FAILURE:
@@ -451,12 +441,6 @@ class WarmBackend(ExecutionBackend):
             # finished twice; results are identical by construction, so
             # the second copy is simply dropped.
             return
-        self.worker_snapshot_hits[worker.index] = (
-            self.worker_snapshot_hits.get(worker.index, 0) + hits
-        )
-        observe_family(
-            "repro_backend_worker_snapshot_hits", str(worker.index), hits
-        )
         self.worker_batches[worker.index] = (
             self.worker_batches.get(worker.index, 0) + 1
         )
@@ -584,14 +568,13 @@ class WarmBackend(ExecutionBackend):
         worker cannot stall it past the grace deadline.
 
         When a slow-job threshold or per-job deadline is configured
-        (``--slow-job-threshold`` / ``--deadline``, or their knobs),
-        the wait runs in short slices and a watchdog inspects every
-        in-flight batch between them: past the threshold it warns
-        (once per batch, counted in ``repro_slow_job_warnings_total``);
-        past ``deadline × batch size`` it revives the worker holding
-        the batch — a wedged worker is indistinguishable from a hung
-        pipe, and re-run jobs execute from their seeds, so results are
-        unchanged.
+        (``REPRO_SLOW_JOB``; ``--deadline`` / ``REPRO_DEADLINE``), the
+        wait runs in short slices and a watchdog inspects every in-flight
+        batch between them: past the threshold it logs a warning (once
+        per batch); past ``deadline × batch size`` it revives the worker
+        holding the batch — a wedged worker is indistinguishable from a
+        hung pipe, and re-run jobs execute from their seeds, so results
+        are unchanged.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         slow = resolve_slow_threshold()
@@ -642,7 +625,6 @@ class WarmBackend(ExecutionBackend):
                 and batch_id not in self._slow_warned
             ):
                 self._slow_warned.add(batch_id)
-                inc_counter("repro_slow_job_warnings_total")
                 log.warning(
                     "batch %d running for %.1fs (threshold %.1fs)",
                     batch_id, elapsed, slow,

@@ -12,10 +12,9 @@ carry individually:
   :func:`get_executor` (``--jobs`` / ``--backend``), with identical
   results guaranteed by per-job seeding;
 * **cache** (:mod:`repro.exec.cache`) — a content-addressed
-  :class:`ResultCache` (in-memory LRU + optional ``.repro-cache/``
-  disk store) keyed on (config, benchmark identity, seed, code
-  version), so overlapping sweeps share rows instead of recomputing
-  them.
+  in-memory :class:`ResultCache` keyed on (config, benchmark identity,
+  seed, code version), so overlapping sweeps share rows instead of
+  recomputing them.
 
 Typical use::
 
@@ -32,12 +31,6 @@ from repro.exec.cache import (
     configure_default_cache,
     default_cache,
     stable_token,
-)
-from repro.exec.journal import (
-    SweepJournal,
-    active_journal,
-    journal_path,
-    set_active_journal,
 )
 from repro.exec.executor import (
     Executor,
@@ -69,16 +62,12 @@ __all__ = [
     "MeasurementJob",
     "MeasurementPlan",
     "ResultCache",
-    "SweepJournal",
-    "active_journal",
     "code_version",
     "configure_default_cache",
     "default_cache",
     "get_executor",
-    "journal_path",
     "resolve_batch_cap",
     "resolve_jobs",
-    "set_active_journal",
     "set_default_batch",
     "set_default_jobs",
     "stable_token",

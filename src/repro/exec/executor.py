@@ -74,9 +74,7 @@ class ExecutorStats:
 
     ``jobs`` counts everything mapped through this executor,
     ``cache_hits`` the jobs answered from the result cache, and
-    ``executed`` the jobs that actually ran.  The service layer
-    surfaces these (and the CLI prints the cache side after
-    ``reproduce``), so the split is part of the public engine API.
+    ``executed`` the jobs that actually ran.
 
     ``batches`` counts dispatch units (backend batches) and
     ``snapshot_hits`` the machine boots answered by a snapshot store
@@ -89,11 +87,6 @@ class ExecutorStats:
     executed: int = 0
     batches: int = 0
     snapshot_hits: int = 0
-
-
-#: Process-lifetime aggregate over every executor instance, read by the
-#: unified metrics registry (``repro_executor_*`` gauges).
-GLOBAL_STATS = ExecutorStats()
 
 
 class Executor:
@@ -122,66 +115,38 @@ class Executor:
 
     def map(self, jobs: Iterable[Job]) -> list[Any]:
         """Results for every job, in order, reusing cached results."""
-        from repro.exec.journal import active_journal
-
         jobs = list(jobs)
-        journal = active_journal()
         self.stats.jobs += len(jobs)
-        GLOBAL_STATS.jobs += len(jobs)
         results: list[Any] = [None] * len(jobs)
         pending: list[int] = []
         tokens: list[str | None] = [None] * len(jobs)
-        want_tokens = self.cache is not None or journal is not None
         for index, job in enumerate(jobs):
-            token = _token_of(job) if want_tokens else None
+            token = _token_of(job) if self.cache is not None else None
             tokens[index] = token
             cached = (
                 self.cache.get(token)
                 if self.cache is not None and token is not None
                 else None
             )
-            if cached is None and journal is not None and token is not None:
-                # A resumed run: jobs the killed run already
-                # finished are served from its journal, in plan
-                # order, byte-identical to re-running them.
-                cached = journal.get(token)
             if cached is not None:
                 results[index] = cached
                 self.stats.cache_hits += 1
-                GLOBAL_STATS.cache_hits += 1
             else:
                 pending.append(index)
         self.stats.executed += len(pending)
-        GLOBAL_STATS.executed += len(pending)
         if pending:
-            fresh = self._execute([jobs[i] for i in pending], journal)
+            fresh = self._execute([jobs[i] for i in pending])
             for index, result in zip(pending, fresh):
                 results[index] = result
                 if self.cache is not None and tokens[index] is not None:
                     self.cache.put(tokens[index], result)
-                if journal is not None and tokens[index] is not None:
-                    journal.append(tokens[index], result)
         return results
 
-    def _execute(self, jobs: Sequence[Job], journal: Any) -> list[Any]:
+    def _execute(self, jobs: Sequence[Job]) -> list[Any]:
         """Run jobs on the backend, returning results in the given order."""
-        on_batch = None
-        if journal is not None:
-            # Journal each batch the moment it completes, so a run
-            # killed mid-plan resumes from its last finished batch.
-            def on_batch(batch_jobs: list[Any], batch_results: list[Any]):
-                for job, result in zip(batch_jobs, batch_results):
-                    token = _token_of(job)
-                    if token is not None:
-                        journal.append(token, result)
-
-        outcome = self.backend.execute(
-            jobs, batch_cap=self.batch_size, on_batch=on_batch
-        )
+        outcome = self.backend.execute(jobs, batch_cap=self.batch_size)
         self.stats.batches += outcome.batches
         self.stats.snapshot_hits += outcome.snapshot_hits
-        GLOBAL_STATS.batches += outcome.batches
-        GLOBAL_STATS.snapshot_hits += outcome.snapshot_hits
         return outcome.results
 
     def run(self, plan: MeasurementPlan) -> ResultTable:

@@ -142,8 +142,7 @@ class MeasurementJob:
         """Content address: config factors + benchmark identity.
 
         Computed once per job: the dataclass is frozen, so the token
-        cannot change, and the executor asks for it on every ``map``
-        while the service layer asks again for dedup.
+        cannot change, and the executor asks for it on every ``map``.
         """
         token = self.__dict__.get("_cache_token")
         if token is None:
@@ -230,10 +229,8 @@ class MeasurementPlan:
 
         Built from the member jobs' own cache tokens plus the row
         recipe, so two independently constructed but identical plans
-        (e.g. the same sweep submitted by two service clients) share
-        one address — which is what lets the service scheduler coalesce
-        them in flight.  Plans with a ``row_builder`` closure fall back
-        to the builder's qualified name (closures cannot be hashed
+        share one address.  Plans with a ``row_builder`` closure fall
+        back to the builder's qualified name (closures cannot be hashed
         portably).
         """
         token = self.__dict__.get("_cache_token")

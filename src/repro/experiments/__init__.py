@@ -72,8 +72,8 @@ ALL_EXPERIMENTS = {**EXPERIMENTS, **EXTENSIONS}
 def run_artifact(
     artifact: str, repeats: "int | None" = None, seed: int = 0
 ) -> ExperimentResult:
-    """Run one registered artifact by id — the single entry point the
-    CLI *and* the measurement service share, so both produce identical
+    """Run one registered artifact by id — the single entry point of
+    the CLI's ``reproduce`` and ``trace``, so both produce identical
     results for identical (artifact, repeats, seed).
 
     ``repeats``/``seed`` are forwarded only to runners that take them
@@ -95,8 +95,8 @@ def artifact_catalog() -> "list[dict[str, str]]":
     """Ids + descriptions of every runnable artifact, as plain data.
 
     The description is the first line of the experiment module's
-    docstring.  This feeds ``repro list --json`` and the service's
-    ``list`` request, so external tooling never scrapes text output.
+    docstring.  This feeds ``repro list --json``, so external tooling
+    never scrapes text output.
     """
     import inspect
 

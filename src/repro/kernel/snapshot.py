@@ -22,9 +22,9 @@ draw identical random streams.
 The store is always on and LRU-bounded by ``max_entries``;
 :func:`configure_default_store` replaces it, or turns it off so that
 every boot captures a fresh image (the cold-boot reference).  Hit/miss
-accounting feeds the unified metrics registry
-(``repro_snapshot_hits``/``repro_snapshot_misses``) and, via the
-executors, :class:`~repro.exec.executor.ExecutorStats`.
+accounting feeds, via the executors,
+:class:`~repro.exec.executor.ExecutorStats`, and ``repro trace``'s
+exact counts.
 """
 
 from __future__ import annotations
@@ -165,9 +165,9 @@ class SnapshotStats:
         return self.hits + self.misses
 
 
-#: Process-lifetime aggregate over every store instance, read by the
-#: unified metrics registry (``repro_snapshot_*`` gauges) and sampled
-#: by the executors for ``ExecutorStats.snapshot_hits``.
+#: Process-lifetime aggregate over every store instance, read by
+#: ``repro trace`` and sampled by the executors for
+#: ``ExecutorStats.snapshot_hits``.
 GLOBAL_STATS = SnapshotStats()
 
 

@@ -4,7 +4,7 @@ A worker that dies mid-batch (OOM killer, crash) is detected by pipe
 EOF, respawned with its templates re-registered, and its in-flight
 batches re-dispatched.  The results must be byte-identical to an
 undisturbed run — every job re-executes from its own seed — and the
-``repro_backend_worker_restarts`` accounting must record the incident.
+``worker_restarts`` accounting must record the incident.
 """
 
 import contextlib
@@ -25,7 +25,6 @@ from repro.backend.warm import WarmBackend, WorkerFailure
 from repro.core.config import Mode, Pattern
 from repro.core.sweep import SweepSpec
 from repro.exec import Executor
-from repro.obs.metrics import build_unified_registry
 
 pytestmark = pytest.mark.skipif(
     not warm_available(), reason="warm backend needs the fork start method"
@@ -117,26 +116,25 @@ class TestWorkerDeath:
         assert backend.stats.worker_restarts >= 1
 
     def test_restart_shows_up_in_the_metrics_registry(self):
-        registry = build_unified_registry()
+        # The process-wide accounting records a restart on any backend.
         plan = small_plan(base_seed=1)
         jobs = list(plan)
 
         backend = make_backend("warm", workers=2)
+        restarts_before = GLOBAL_STATS.worker_restarts
         try:
             backend.prepare(jobs)
+            # Worker 0 is idle and first in line, so the batch goes to
+            # it and completes only once it has been revived.  (A worker
+            # killed while idle, with the batch elsewhere, may not be
+            # noticed before collect() returns.)
+            os.kill(backend.worker_pids[0], signal.SIGKILL)
             submitted = [backend.submit(jobs)]
-            os.kill(backend.worker_pids[-1], signal.SIGKILL)
             collect_all(backend, submitted)
         finally:
             backend.shutdown(grace=2.0)
 
-        rendered = registry.render()
-        for line in rendered.splitlines():
-            if line.startswith("repro_backend_worker_restarts"):
-                assert int(line.split()[-1]) >= 1
-                break
-        else:
-            pytest.fail("repro_backend_worker_restarts gauge not rendered")
+        assert GLOBAL_STATS.worker_restarts > restarts_before
 
     def test_executor_run_survives_worker_death(self):
         # End to end through the executor facade: a timer thread kills

@@ -5,11 +5,7 @@ import pytest
 from repro.core import measurement
 from repro.core.benchmarks import LoopBenchmark, NullBenchmark
 from repro.core.config import MeasurementConfig, Mode, Pattern
-from repro.core.measurement import (
-    MeasurementResult,
-    expected_count,
-    run_measurement,
-)
+from repro.core.measurement import expected_count, run_measurement
 from repro.cpu.events import Event
 
 

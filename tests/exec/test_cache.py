@@ -1,7 +1,5 @@
 """Unit tests for the content-addressed result cache (repro.exec.cache)."""
 
-import pickle
-
 import pytest
 
 from repro.errors import ConfigurationError
@@ -77,38 +75,19 @@ class TestMemoryTier:
 
 
 class TestDiskTier:
-    def test_round_trip_across_cache_instances(self, tmp_path):
-        writer = ResultCache(disk_dir=tmp_path)
-        token = stable_token("disk")
-        writer.put(token, [1, 2, 3])
+    """There is no disk tier: results live in memory and die with it."""
 
-        reader = ResultCache(disk_dir=tmp_path)
-        assert reader.get(token) == [1, 2, 3]
-        assert reader.stats.disk_hits == 1
-        # Promoted to memory: the second read no longer touches disk.
-        assert reader.get(token) == [1, 2, 3]
-        assert reader.stats.disk_hits == 1
-
-    def test_store_is_content_addressed_by_token_prefix(self, tmp_path):
-        cache = ResultCache(disk_dir=tmp_path)
-        token = stable_token("layout")
-        cache.put(token, "value")
-        path = tmp_path / token[:2] / f"{token[2:]}.pkl"
-        assert path.is_file()
-        with path.open("rb") as handle:
-            assert pickle.load(handle) == "value"
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(disk_dir=tmp_path)
-        token = stable_token("corrupt")
-        cache.put(token, "good")
-        (tmp_path / token[:2] / f"{token[2:]}.pkl").write_bytes(b"not pickle")
-        fresh = ResultCache(disk_dir=tmp_path)
-        assert fresh.get(token) is None
-
-    def test_memory_only_never_touches_disk(self, tmp_path):
-        cache = ResultCache()
-        cache.put(stable_token("mem"), "value")
+    def test_memory_only_never_touches_disk(self, tmp_path, monkeypatch):
+        # The retired disk tier wrote under ``.repro-cache/`` in the
+        # working directory; the default cache writes nothing at all.
+        monkeypatch.chdir(tmp_path)
+        cache = configure_default_cache(enabled=True)
+        try:
+            token = stable_token("mem")
+            cache.put(token, "value")
+            assert cache.get(token) == "value"
+        finally:
+            configure_default_cache(enabled=True)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -123,7 +102,3 @@ class TestDefaultCache:
         assert default_cache() is None
         cache = configure_default_cache(enabled=True)
         assert default_cache() is cache
-
-    def test_configure_sets_disk_dir(self, tmp_path):
-        cache = configure_default_cache(disk_dir=tmp_path / "store")
-        assert cache.disk_dir == tmp_path / "store"

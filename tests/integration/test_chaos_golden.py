@@ -3,10 +3,8 @@
 The acceptance bar for every recovery path: ``reproduce`` emits output
 byte-identical to the committed goldens while the test SIGKILLs warm
 workers mid-batch, flips a byte of a result frame on its way into the
-coordinator, stops a worker for a moment, or fills and tears the disk
-cache — because every recovery path re-executes jobs from their own
-seeds.  A run SIGKILL'd from the outside and restarted with
-``--resume`` completes to the identical artifact as well.
+coordinator, or stops a worker for a moment — because every recovery
+path re-executes jobs from their own seeds.
 
 Each fault comes from the test itself, through a signal or a wrapper
 that ``monkeypatch`` undoes when the test ends; the product has no
@@ -14,16 +12,11 @@ fault hooks.  Each case also asserts that its fault fired and which
 recovery answered it, so a fault that silently stops firing fails.
 """
 
-import errno
 import itertools
 import os
 import signal
 import struct
-import subprocess
-import sys
-import tempfile
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -39,7 +32,6 @@ from repro.backend import (
 )
 from repro.cli import main
 from repro.exec import set_default_batch
-from repro.exec.cache import default_cache
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -157,7 +149,7 @@ def stop_second_batch_briefly(monkeypatch):
 
 # -- the fault families: each runs one artifact and checks its recovery ---
 
-def worker_kill(artifact, capsys, caplog, monkeypatch, tmp_path):
+def worker_kill(artifact, capsys, caplog, monkeypatch):
     kill_every_third_batch(monkeypatch)
     restarts = GLOBAL_STATS.worker_restarts
     out = reproduce_warm(capsys, artifact)
@@ -165,7 +157,7 @@ def worker_kill(artifact, capsys, caplog, monkeypatch, tmp_path):
     return out
 
 
-def frame_corrupt(artifact, capsys, caplog, monkeypatch, tmp_path):
+def frame_corrupt(artifact, capsys, caplog, monkeypatch):
     flipped = corrupt_first_results_frame(monkeypatch)
     restarts = GLOBAL_STATS.worker_restarts
     with caplog.at_level("WARNING", logger="repro.backend.warm"):
@@ -176,38 +168,7 @@ def frame_corrupt(artifact, capsys, caplog, monkeypatch, tmp_path):
     return out
 
 
-def cache_corruption(artifact, capsys, caplog, monkeypatch, tmp_path):
-    # Run once with every third disk write failing for a full disk,
-    # tear every other entry that landed, then run again from a fresh
-    # memory tier: intact entries are disk hits, torn ones are
-    # quarantined, missing ones recompute.
-    cache_dir = str(tmp_path / "cache")
-    mkstemp = tempfile.mkstemp
-    writes = itertools.count(1)
-    refused = []
-
-    def full_every_third(*args, **kwargs):
-        if next(writes) % 3 == 0:
-            refused.append(args)
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return mkstemp(*args, **kwargs)
-
-    with monkeypatch.context() as full_disk:
-        full_disk.setattr(tempfile, "mkstemp", full_every_third)
-        first = reproduce_warm(capsys, artifact, "--cache-dir", cache_dir)
-    entries = sorted(Path(cache_dir).rglob("*.pkl"))
-    assert entries and refused
-    for entry in entries[::2]:
-        os.truncate(entry, entry.stat().st_size // 2)
-    second = reproduce_warm(capsys, artifact, "--cache-dir", cache_dir)
-    stats = default_cache().stats
-    assert stats.quarantined == len(entries[::2])
-    assert stats.disk_hits == len(entries) - len(entries[::2])
-    assert first == second
-    return second
-
-
-def slow_worker(artifact, capsys, caplog, monkeypatch, tmp_path):
+def slow_worker(artifact, capsys, caplog, monkeypatch):
     timers = stop_second_batch_briefly(monkeypatch)
     try:
         out = reproduce_warm(capsys, artifact)
@@ -221,7 +182,6 @@ def slow_worker(artifact, capsys, caplog, monkeypatch, tmp_path):
 FAULTS = {
     "worker-kill": worker_kill,
     "frame-corrupt": frame_corrupt,
-    "cache-corruption": cache_corruption,
     "slow-worker": slow_worker,
 }
 
@@ -229,91 +189,17 @@ FAULTS = {
 class TestChaosGoldenMatrix:
     @pytest.mark.parametrize("fault", FAULTS)
     def test_figure4_survives_byte_identically(
-        self, capsys, caplog, monkeypatch, tmp_path, fault
+        self, capsys, caplog, monkeypatch, fault
     ):
         golden = (GOLDEN / "figure4.txt").read_text()
-        out = FAULTS[fault]("figure4", capsys, caplog, monkeypatch, tmp_path)
+        out = FAULTS[fault]("figure4", capsys, caplog, monkeypatch)
         assert out == golden
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_figure9_survives_byte_identically(
-        self, capsys, caplog, monkeypatch, tmp_path, fault
+        self, capsys, caplog, monkeypatch, fault
     ):
         golden = (GOLDEN / "figure9.txt").read_text()
-        out = FAULTS[fault]("figure9", capsys, caplog, monkeypatch, tmp_path)
+        out = FAULTS[fault]("figure9", capsys, caplog, monkeypatch)
         assert out == golden
 
-
-class TestCrashSafeResume:
-    def test_sigkilled_run_resumes_to_identical_artifact(self, tmp_path):
-        # Run serially (stable timing), SIGKILL mid-sweep, resume, and
-        # demand the merged artifact match an uninterrupted run.
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        journal_dir = tmp_path / "journals"
-        cmd = [
-            sys.executable, "-m", "repro", "reproduce", "figure4",
-            "--repeats", "3",
-            "--resume", "--journal-dir", str(journal_dir),
-        ]
-        victim = subprocess.Popen(
-            cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
-        )
-        # Kill once the journal holds real progress — a fixed sleep
-        # races the sweep's actual duration on a fast or loaded box.
-        deadline = time.monotonic() + 120.0
-        while time.monotonic() < deadline:
-            journals = list(journal_dir.glob("*.journal"))
-            if journals and journals[0].stat().st_size > 4096:
-                break
-            assert victim.poll() is None, "sweep finished before the kill"
-            time.sleep(0.02)
-        victim.send_signal(signal.SIGKILL)
-        victim.wait()
-
-        journals = list(journal_dir.glob("*.journal"))
-        assert journals, "the killed run left no journal behind"
-        assert journals[0].stat().st_size > 0
-
-        resumed = subprocess.run(
-            cmd, env=env, capture_output=True, text=True, timeout=600
-        )
-        assert resumed.returncode == 0
-        restored_lines = [
-            line for line in resumed.stderr.splitlines()
-            if line.startswith("resume:")
-        ]
-        assert restored_lines, resumed.stderr
-        assert "completed job(s) restored" in restored_lines[0]
-
-        uninterrupted = subprocess.run(
-            [sys.executable, "-m", "repro", "reproduce", "figure4",
-             "--repeats", "3"],
-            env=env, capture_output=True, text=True, timeout=600,
-        )
-        assert resumed.stdout == uninterrupted.stdout
-        # Success discards the sidecar: nothing left to resume.
-        assert not list((tmp_path / "journals").glob("*.journal"))
-
-    def test_resume_with_no_journal_is_a_fresh_run(self, capsys, tmp_path):
-        golden = (GOLDEN / "figure4.txt").read_text()
-        out = reproduce(
-            capsys, "figure4",
-            "--resume", "--journal-dir", str(tmp_path / "journals"),
-        )
-        assert out == golden
-        assert not list((tmp_path / "journals").glob("*.journal"))
-
-    def test_resume_composes_with_chaos_and_warm_backend(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        golden = (GOLDEN / "figure4.txt").read_text()
-        kill_every_third_batch(monkeypatch)
-        restarts = GLOBAL_STATS.worker_restarts
-        out = reproduce_warm(
-            capsys, "figure4",
-            "--resume", "--journal-dir", str(tmp_path / "journals"),
-        )
-        assert out == golden
-        assert GLOBAL_STATS.worker_restarts > restarts

@@ -1,13 +1,13 @@
 """CLI observability: the trace subcommand, stdout purity.
 
 Several stdout consumers parse the CLI's output (``list --json``,
-``submit``'s acknowledgement, artifact reports that are byte-compared
-against local runs), so every diagnostic — cache summaries, structured
-logs — must land on stderr, and tracing must not change artifact
-output by a byte.
+``trace --json``, artifact reports that are byte-compared against the
+goldens), so every diagnostic — the cache summary — must land on
+stderr, and tracing must not change artifact output by a byte.
 """
 
 import json
+import logging
 import re
 
 import pytest
@@ -15,16 +15,7 @@ import pytest
 from repro.cli import main
 from repro.exec import cache as cache_mod
 from repro.experiments import ALL_EXPERIMENTS
-from repro.obs.logging import reset_logging
 from repro.obs.scopes import ScopeTracer
-
-
-@pytest.fixture(autouse=True)
-def _fresh_logging(monkeypatch):
-    monkeypatch.delenv("REPRO_LOG", raising=False)
-    reset_logging()
-    yield
-    reset_logging()
 
 
 @pytest.fixture
@@ -81,17 +72,22 @@ class TestTraceCommand:
 
 
 class TestStdoutPurity:
-    def test_list_json_clean_with_logging_enabled(self, capsys):
-        assert main(["--log-json", "list", "--json"]) == 0
+    def test_list_json_clean_with_logging_enabled(self, caplog, capsys):
+        # Diagnostics go through stdlib logging (the slow-job warning);
+        # with every logger enabled, stdout is still one JSON document.
+        caplog.set_level(logging.DEBUG)
+        assert main(["list", "--json"]) == 0
         captured = capsys.readouterr()
         data = json.loads(captured.out)  # would raise if logs leaked
         assert data["artifacts"]
 
     def test_list_json_clean_with_env_logging(self, monkeypatch, capsys):
+        # A leftover REPRO_LOG from the retired JSON logging is ignored.
         monkeypatch.setenv("REPRO_LOG", "stderr")
-        reset_logging()
         assert main(["list", "--json"]) == 0
-        json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["artifacts"]
+        assert captured.err == ""
 
     def test_reproduce_stdout_identical_with_tracing(
         self, monkeypatch, capsys
@@ -107,8 +103,7 @@ class TestStdoutPurity:
         assert "cache: 0 hits" in traced.err
 
     def test_trace_json_is_the_only_stdout(self, capsys):
-        assert main(["--log-json", "trace", "figure4", "--repeats", "1",
-                     "--json"]) == 0
+        assert main(["trace", "figure4", "--repeats", "1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["artifact"] == "figure4"
         assert payload["scopes"]["core.run_measurement"]["calls"] >= 0
@@ -119,18 +114,3 @@ class TestStdoutPurity:
         assert "cache:" not in captured.out
         assert "cache:" in captured.err
 
-
-class TestSubmitPurity:
-    def test_submit_stdout_is_one_parseable_line(self, capsys):
-        from repro.service.server import ServiceInThread
-
-        with ServiceInThread(workers=1, slow_job_threshold=None) as service:
-            assert main([
-                "--log-json", "submit", "figure4", "--repeats", "1",
-                "--port", str(service.port),
-            ]) == 0
-            captured = capsys.readouterr()
-        lines = captured.out.splitlines()
-        assert len(lines) == 1
-        assert re.fullmatch(r"submitted (job-\S+) \(\w+\)", lines[0])
-        assert "trace:" not in captured.err  # submit mints no trace id

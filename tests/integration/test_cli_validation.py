@@ -1,21 +1,17 @@
 """Structured CLI validation: bad knobs exit 2 with one-line errors.
 
 A user who types ``--jobs 0`` gets ``error: ...`` on stderr and exit
-code 2 — never a traceback from deep inside the engine or the service
-stack.
+code 2 — never a traceback from deep inside the engine.
 """
 
-import socket
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.backend import (
-    set_default_backend,
-    set_default_deadline,
-    set_default_slow_threshold,
-)
+from repro.backend import set_default_backend, set_default_deadline
 from repro.cli import main
+from repro.exec import cache as cache_mod
 from repro.exec import set_default_batch, set_default_jobs
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -33,7 +29,6 @@ def clean_defaults(monkeypatch):
     set_default_batch(None)
     set_default_backend(None)
     set_default_deadline(None)
-    set_default_slow_threshold(None)
 
 
 def expect_error(capsys, argv, message, code=2):
@@ -42,10 +37,6 @@ def expect_error(capsys, argv, message, code=2):
     assert message in err
     assert "Traceback" not in err
     return err
-
-
-def refuse_to_serve(**kwargs):
-    pytest.fail("repro serve started despite a bad setting")
 
 
 class TestJobsValidation:
@@ -118,12 +109,6 @@ class TestBackendValidation:
             "error: unknown backend 'bogus'",
         )
 
-    def test_serve_validates_backend_too(self, capsys):
-        expect_error(
-            capsys, ["serve", "--backend", "bogus"],
-            "error: unknown backend 'bogus'",
-        )
-
 
 class TestRemovedFastForwardKnobs:
     """Loops have one execution path; its old knobs are gone."""
@@ -155,7 +140,7 @@ class TestRemovedFleetAndPool:
 
     @pytest.mark.parametrize("argv", [
         ["reproduce", "figure4", "--backend", "pool"],
-        ["serve", "--backend", "pool"],
+        ["trace", "figure4", "--backend", "pool"],
     ])
     def test_pool_backend_flag_exit_2(self, capsys, argv):
         assert main(argv) == 2
@@ -194,16 +179,15 @@ class TestRemovedFleetAndPool:
 
 class TestRemovedSpanTree:
     """The span tree, its Chrome export and the inventory-only metrics
-    command are gone: their flags and command are refused up front, and
-    a client that still sends a trace id is served as before."""
+    command are gone: their flags and command are refused up front."""
 
     # Each command line is also invalid in a way the command itself
     # rejects, so a build that accepted --trace-out again would fail
-    # fast here instead of running an artifact or a server.
+    # fast here instead of running an artifact.
     @pytest.mark.parametrize("argv", [
         ["reproduce", "figure4", "--trace-out", "x", "--repeats", "0"],
         ["trace", "figure4", "--trace-out", "x", "--repeats", "0"],
-        ["serve", "--trace-out", "x", "--workers", "0"],
+        ["measure", "--trace-out", "x", "--counters", "0"],
     ])
     def test_trace_out_is_unrecognized(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -221,31 +205,6 @@ class TestRemovedSpanTree:
         assert "invalid choice" in err
         assert "Traceback" not in err
 
-    def test_submit_carrying_a_trace_id_is_served_unchanged(self):
-        import json
-        import socket
-
-        from repro.experiments import run_artifact
-        from repro.service import ServiceClient, ServiceInThread
-        from repro.service.protocol import PROTOCOL_VERSION
-
-        request = {
-            "v": PROTOCOL_VERSION, "op": "submit", "kind": "artifact",
-            "artifact": "figure4", "repeats": 1, "trace_id": "ab" * 16,
-        }
-        with ServiceInThread(workers=1, slow_job_threshold=None) as service:
-            with socket.create_connection(
-                (service.host, service.port), timeout=10
-            ) as raw:
-                raw.sendall(json.dumps(request).encode() + b"\n")
-                answer = json.loads(raw.makefile("rb").readline())
-            assert answer["ok"] is True, answer
-            assert "trace_id" not in answer["job"]
-            with ServiceClient(service.host, service.port) as client:
-                served = client.wait(answer["job"]["id"], timeout=120)
-        local = run_artifact("figure4", repeats=1)
-        assert served["report"] == local.report()
-
 
 class TestRemovedChaos:
     """The fault injector is gone: ``--chaos`` is refused up front and a
@@ -253,12 +212,12 @@ class TestRemovedChaos:
 
     # Each command line is also invalid in a way the command itself
     # rejects, so a build that accepted --chaos again would fail fast
-    # here instead of running an artifact or a server.
+    # here instead of running an artifact.
     @pytest.mark.parametrize("argv", [
         ["reproduce", "figure4", "--chaos", "worker-kill:p=1",
          "--repeats", "0"],
         ["trace", "figure4", "--chaos", "worker-kill:p=1", "--repeats", "0"],
-        ["serve", "--chaos", "worker-kill:p=1", "--workers", "0"],
+        ["measure", "--chaos", "worker-kill:p=1", "--counters", "0"],
     ])
     def test_chaos_flag_is_unrecognized(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -273,6 +232,54 @@ class TestRemovedChaos:
         assert main(["reproduce", "figure4", "--jobs", "2"]) == 0
         golden = (GOLDEN / "figure4.txt").read_text()
         assert capsys.readouterr().out == golden
+
+
+class TestRemovedServiceTier:
+    """The service commands, JSON logging, the resume journal and the
+    disk cache tier are gone: their commands and flags are refused up
+    front, and their leftover variables change nothing."""
+
+    # Each command line is also invalid in a way the command itself
+    # rejects, so a build that accepted the command or flag again would
+    # fail fast here instead of running a server or an artifact.
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--workers", "0"],
+        ["submit", "figure4", "--repeats", "0"],
+        ["status"],
+    ])
+    def test_commands_are_invalid_choices(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{argv[0]}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--log-json", "reproduce", "figure4", "--repeats", "0"],
+        ["reproduce", "figure4", "--cache-dir", "x", "--repeats", "0"],
+        ["reproduce", "figure4", "--resume", "--repeats", "0"],
+        ["reproduce", "figure4", "--journal-dir", "x", "--repeats", "0"],
+    ])
+    def test_flags_are_unrecognized(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert "Traceback" not in err
+
+    def test_stale_env_is_ignored(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_LOG", "stderr")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        # The default cache reads the environment when it is first
+        # built: make this run build it.
+        monkeypatch.setattr(cache_mod, "_default", cache_mod._UNSET)
+        assert main(["reproduce", "figure4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (GOLDEN / "figure4.txt").read_text()
+        assert re.fullmatch(r"cache: \d+ hits / \d+ misses\n", captured.err)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeadlineValidation:
@@ -300,109 +307,6 @@ class TestDeadlineValidation:
             "error: REPRO_SLOW_JOB must be > 0 seconds, got -1.0",
         )
         assert err.count("\n") == 1
-
-    @pytest.mark.parametrize("var,value,message", [
-        ("REPRO_DEADLINE", "soon", "must be a number of seconds"),
-        ("REPRO_SLOW_JOB", "-1", "must be > 0 seconds"),
-    ])
-    def test_serve_validates_env_before_serving(
-        self, capsys, monkeypatch, var, value, message
-    ):
-        monkeypatch.setenv(var, value)
-        monkeypatch.setattr("repro.service.run_service", refuse_to_serve)
-        expect_error(capsys, ["serve"], f"error: {var} {message}")
-
-    @pytest.mark.parametrize("env,argv,threshold", [
-        ("5", [], 5.0),
-        (None, [], 30.0),
-        ("5", ["--slow-job-threshold", "7"], 7.0),
-        ("5", ["--slow-job-threshold", "0"], None),
-        ("-1", ["--slow-job-threshold", "7"], 7.0),
-    ], ids=["env", "default", "flag-wins", "flag-off", "flag-skips-env"])
-    def test_serve_slow_job_threshold_chain(
-        self, monkeypatch, env, argv, threshold
-    ):
-        # --slow-job-threshold > REPRO_SLOW_JOB > 30 s, as the scheduler
-        # receives it.
-        if env is not None:
-            monkeypatch.setenv("REPRO_SLOW_JOB", env)
-        served = {}
-        monkeypatch.setattr("repro.service.run_service",
-                            lambda **kwargs: served.update(kwargs) or 0)
-        assert main(["serve", *argv]) == 0
-        assert served["slow_job_threshold"] == threshold
-
-    def test_serve_negative_slow_job_threshold_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setattr("repro.service.run_service", refuse_to_serve)
-        expect_error(
-            capsys, ["serve", "--slow-job-threshold", "-1"],
-            "error: slow-job threshold must be > 0 seconds, got -1.0",
-        )
-
-    def test_serve_validates_deadline_too(self, capsys):
-        expect_error(
-            capsys, ["serve", "--deadline", "0"],
-            "error: deadline must be > 0 seconds",
-        )
-
-
-class TestPortValidation:
-    @pytest.mark.parametrize("argv", [
-        ["serve", "--port", "99999"],
-        ["serve", "--port", "-1"],
-        ["submit", "figure4", "--port", "65536"],
-        ["status", "--health", "--port", "-1"],
-    ])
-    def test_out_of_range_port_exit_2(self, capsys, argv):
-        err = expect_error(
-            capsys, argv,
-            f"error: port must be in 0..65535, got {argv[-1]}",
-        )
-        assert err.count("\n") == 1
-
-    def test_busy_port_is_one_error_line(self, capsys):
-        with socket.socket() as busy:
-            busy.bind(("127.0.0.1", 0))
-            busy.listen()
-            port = busy.getsockname()[1]
-            err = expect_error(
-                capsys, ["serve", "--port", str(port)],
-                f"error: cannot listen on 127.0.0.1:{port} (", code=1,
-            )
-        assert err.count("\n") == 1
-
-
-class TestResumeValidation:
-    def test_journal_dir_that_is_a_file_exit_2(self, capsys, tmp_path):
-        not_a_dir = tmp_path / "journals"
-        not_a_dir.write_text("")
-        err = expect_error(
-            capsys,
-            ["reproduce", "figure4", "--resume",
-             "--journal-dir", str(not_a_dir)],
-            f"error: cannot open a resume journal under {not_a_dir} (",
-        )
-        assert err.count("\n") == 1
-
-
-class TestServeValidation:
-    def test_non_positive_workers_exit_2(self, capsys):
-        expect_error(
-            capsys, ["serve", "--workers", "0"],
-            "error: workers must be >= 1, got 0",
-        )
-
-    def test_non_positive_queue_depth_exit_2(self, capsys):
-        expect_error(
-            capsys, ["serve", "--queue-depth", "-1"],
-            "error: queue-depth must be >= 1, got -1",
-        )
-
-    def test_non_positive_request_timeout_exit_2(self, capsys):
-        expect_error(
-            capsys, ["serve", "--request-timeout", "0"],
-            "error: request-timeout must be > 0, got 0.0",
-        )
 
 
 class TestMeasureValidation:
