@@ -60,20 +60,16 @@ __version__ = "1.1.0"
 from repro.exec import (  # noqa: E402
     BenchmarkSpec,
     Executor,
-    ExecutorStats,
     LoopSweepSpec,
     MeasurementJob,
     MeasurementPlan,
     ResultCache,
-    get_executor,
-    set_default_jobs,
 )
 
 __all__ = [
     "BenchmarkSpec",
     "Event",
     "Executor",
-    "ExecutorStats",
     "LoopBenchmark",
     "LoopSweepSpec",
     "Machine",
@@ -94,9 +90,7 @@ __all__ = [
     "anova_n_way",
     "box_summary",
     "fit_line",
-    "get_executor",
     "run_measurement",
     "run_sweep",
-    "set_default_jobs",
     "__version__",
 ]

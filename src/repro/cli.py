@@ -9,17 +9,17 @@ Usage::
         --mode user --loop 100000
     python -m repro trace figure4 --repeats 1
 
-``reproduce`` accepts ``--jobs N`` to spread measurements over N worker
-processes (results are bit-identical to a serial run), ``--backend``
-to pick where jobs execute (``inline`` or the persistent ``warm``
-worker fleet — the default under ``--jobs > 1``; see
-``docs/backends.md``), ``--batch-size`` to cap how many jobs each
-dispatched batch carries, and ``--no-cache`` to bypass the in-memory
-result cache.
+``reproduce all --jobs N`` forks N worker processes before it runs
+anything.  Worker *i* renders artifacts *i*, *i* + N, … of the
+``reproduce all`` order whole, exactly as the serial loop does, and
+streams each one's text home; this process prints them in order, so
+the output is byte-identical to a serial run.  One artifact,
+``--jobs 1`` and ``--backend inline`` run in this process.
+``--no-cache`` bypasses the in-memory result cache.
 
-Resilience (see ``docs/resilience.md``): ``--deadline SECONDS`` (on
-``reproduce`` and ``trace``) revives workers whose batch overruns its
-per-job budget.
+Resilience (see ``docs/resilience.md``): an artifact that a worker did
+not deliver, because the worker died or raised, runs again in this
+process, so it raises here exactly as it would in a serial run.
 
 Observability (:mod:`repro.obs`): ``trace`` runs an artifact (or
 ``all``) exactly as ``reproduce`` does with a timer at every layer
@@ -34,27 +34,17 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import signal
+import struct
 import sys
-from typing import Sequence
+from typing import Iterator, NoReturn, Sequence
 
-from repro.backend import (
-    resolve_backend_name,
-    resolve_deadline,
-    resolve_slow_threshold,
-    set_default_backend,
-    set_default_deadline,
-)
 from repro.core.benchmarks import LoopBenchmark, NullBenchmark
 from repro.core.config import INFRASTRUCTURES, MeasurementConfig, Mode, Pattern
 from repro.core.measurement import run_measurement
 from repro.errors import ConfigurationError, UnsupportedPatternError
-from repro.exec import (
-    configure_default_cache,
-    resolve_batch_cap,
-    resolve_jobs,
-    set_default_batch,
-    set_default_jobs,
-)
+from repro.exec import configure_default_cache
 from repro.exec.cache import default_cache
 from repro.experiments import (
     ALL_EXPERIMENTS,
@@ -66,6 +56,15 @@ from repro.experiments import (
 
 _PATTERNS_BY_SHORT = {p.short: p for p in Pattern}
 _MODES = {m.value: m for m in Mode}
+
+#: ``--backend`` names: ``warm``, the default under ``--jobs > 1``,
+#: forks artifact workers for ``reproduce all``; ``inline`` keeps every
+#: artifact in this process.
+_BACKENDS = ("inline", "warm")
+
+#: The head of one artifact a worker sends home: its position in the
+#: run, the cache hits and misses it took, and its text's UTF-8 length.
+_RECORD = struct.Struct("<IQQQ")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,34 +100,21 @@ def _build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help=(
-            "worker processes for measurement plans (default: REPRO_JOBS "
-            "or 1; results are identical for any value)"
+            "worker processes for 'all', each rendering whole artifacts "
+            "(default: REPRO_JOBS or 1; output is identical for any "
+            "value)"
         ),
     )
     reproduce.add_argument(
         "--backend", default=None, metavar="NAME",
         help=(
-            "execution backend: inline or warm (default: "
-            "REPRO_BACKEND, else warm when --jobs > 1; results are "
-            "identical for any choice)"
-        ),
-    )
-    reproduce.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help=(
-            "cap on jobs shipped per dispatched batch under --jobs "
-            "(default: REPRO_BATCH or an adaptive size from measured "
-            "per-job cost; results are identical for any value)"
+            "inline runs every artifact in this process; warm (the "
+            "default when --jobs > 1) forks the artifact workers"
         ),
     )
     reproduce.add_argument(
         "--no-cache", action="store_true",
         help="disable the in-memory result cache",
-    )
-    reproduce.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="per-job deadline: revive a worker whose batch overruns "
-             "deadline x jobs and re-dispatch its work (REPRO_DEADLINE)",
     )
 
     trace = sub.add_parser(
@@ -142,22 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--repeats", type=int, default=None)
     trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (the workers run untraced)",
-    )
-    trace.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="execution backend: inline or warm",
-    )
-    trace.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="cap on jobs shipped per dispatched batch under --jobs",
-    )
-    trace.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="per-job deadline for the hung-worker watchdog",
-    )
     trace.add_argument(
         "--json", action="store_true",
         help="emit the scope table as JSON on stdout (same numbers "
@@ -246,32 +216,176 @@ def _artifact_names(artifact: str) -> "list[str] | None":
     return [artifact]
 
 
-def _print_cache_summary(before: "tuple[int, int] | None") -> None:
-    """One stderr line of cache accounting for this invocation."""
-    cache = default_cache()
-    if cache is None or before is None:
-        return
-    hits, misses = before
-    stats = cache.stats
-    print(
-        f"cache: {stats.hits - hits} hits / {stats.misses - misses} misses",
-        file=sys.stderr,
-    )
+def resolve_jobs(jobs: int | None) -> int:
+    """Worker count: ``--jobs`` > ``$REPRO_JOBS`` > 1; at least 1."""
+    what = "jobs"
+    if jobs is None:
+        text = os.environ.get("REPRO_JOBS", "").strip()
+        if not text:
+            return 1
+        what = "REPRO_JOBS"
+        try:
+            jobs = int(text)
+        except ValueError:
+            raise ConfigurationError(
+                f"REPRO_JOBS must be an integer, got {text!r}"
+            ) from None
+    if jobs < 1:
+        raise ConfigurationError(f"{what} must be >= 1, got {jobs}")
+    return jobs
 
 
-def _cmd_reproduce(artifact: str, repeats: int | None, seed: int) -> int:
+def _worker_count(jobs: int | None, backend: str | None) -> int:
+    """How many processes ``reproduce all`` may fork (1: none)."""
+    workers = resolve_jobs(jobs)
+    if backend is None:
+        return workers
+    name = backend.strip().lower()
+    if name not in _BACKENDS:
+        raise ConfigurationError(
+            f"unknown backend {name!r}; known: {', '.join(_BACKENDS)}"
+        )
+    return workers if name == "warm" else 1
+
+
+def _cache_counts() -> tuple[int, int]:
+    """The default cache's hits and misses so far ((0, 0) without one)."""
     cache = default_cache()
-    before = (
-        (cache.stats.hits, cache.stats.misses)
-        if cache is not None else None
-    )
+    return (0, 0) if cache is None else (cache.stats.hits, cache.stats.misses)
+
+
+def _artifact_worker(
+    write: int,
+    names: Sequence[str],
+    positions: range,
+    repeats: int | None,
+    seed: int,
+) -> NoReturn:
+    """A forked worker's whole life: render the artifacts at
+    ``positions`` in order, send each home over ``write`` once it is
+    done, and exit without returning to the caller."""
+    code = 1
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+        with open(write, "wb") as pipe:
+            for position in positions:
+                hits, misses = _cache_counts()
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    _run_artifact(names[position], repeats, seed)
+                now_hits, now_misses = _cache_counts()
+                pipe.write(_record(
+                    position, now_hits - hits, now_misses - misses,
+                    out.getvalue(),
+                ))
+                pipe.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _record(position: int, hits: int, misses: int, text: str) -> bytes:
+    """One artifact as a worker sends it home: its head, then its text."""
+    data = text.encode("utf-8")
+    return _RECORD.pack(position, hits, misses, len(data)) + data
+
+
+def _records(data: bytearray) -> Iterator[tuple[int, int, int, str]]:
+    """``(position, hits, misses, text)`` of every whole artifact in a
+    worker's output; a worker killed mid-write leaves a torn last one."""
+    offset = 0
+    while offset + _RECORD.size <= len(data):
+        position, hits, misses, size = _RECORD.unpack_from(data, offset)
+        offset += _RECORD.size
+        if offset + size > len(data):
+            return
+        yield position, hits, misses, data[offset:offset + size].decode("utf-8")
+        offset += size
+
+
+def _fork_artifacts(
+    names: Sequence[str], repeats: int | None, seed: int, workers: int
+) -> tuple[dict[int, str], int, int]:
+    """Fork up to ``workers`` processes; worker *i* renders the
+    artifacts at positions *i*, *i* + ``workers``, ….
+
+    Returns each delivered artifact's text by position, and the cache
+    hits and misses the workers took.  Every worker has been reaped when
+    this returns, and killed and reaped when it raises.
+    """
+    import select
+
+    pipes: dict[int, int] = {}  # read end -> worker pid
+    received: dict[int, bytearray] = {}
+    try:
+        for first in range(min(workers, len(names))):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # what no worker took runs in this process
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                _artifact_worker(
+                    write, names, range(first, len(names), workers),
+                    repeats, seed,
+                )
+            os.close(write)
+            pipes[read] = pid
+            received[read] = bytearray()
+        # Drain every pipe as it fills, so no worker blocks on a full one.
+        open_ends = list(pipes)
+        while open_ends:
+            for end in select.select(open_ends, [], [])[0]:
+                chunk = os.read(end, 1 << 16)
+                if chunk:
+                    received[end] += chunk
+                else:
+                    open_ends.remove(end)
+    except BaseException:
+        for pid in pipes.values():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for end, pid in pipes.items():
+            os.close(end)
+            os.waitpid(pid, 0)
+    texts: dict[int, str] = {}
+    hits = misses = 0
+    for data in received.values():
+        for position, took_hits, took_misses, text in _records(data):
+            texts[position] = text
+            hits += took_hits
+            misses += took_misses
+    return texts, hits, misses
+
+
+def _cmd_reproduce(
+    artifact: str, repeats: int | None, seed: int, workers: int
+) -> int:
+    start_hits, start_misses = _cache_counts()
     names = _artifact_names(artifact)
     if names is None:
         return 2
+    texts: dict[int, str] = {}
+    hits = misses = 0
+    if workers > 1 and len(names) > 1 and hasattr(os, "fork"):
+        texts, hits, misses = _fork_artifacts(names, repeats, seed, workers)
     code = 0
-    for name in names:
-        code = _run_artifact(name, repeats, seed) or code
-    _print_cache_summary(before)
+    for position, name in enumerate(names):
+        if position in texts:
+            sys.stdout.write(texts[position])
+        else:
+            code = _run_artifact(name, repeats, seed) or code
+    if default_cache() is not None:
+        end_hits, end_misses = _cache_counts()
+        hits += end_hits - start_hits
+        misses += end_misses - start_misses
+        print(f"cache: {hits} hits / {misses} misses", file=sys.stderr)
     return code
 
 
@@ -367,24 +481,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: repeats must be >= 1, got {args.repeats}",
               file=sys.stderr)
         return 2
-    if args.command in ("reproduce", "trace"):
+    if args.command == "reproduce":
         try:
-            set_default_jobs(args.jobs)
-            resolve_jobs()  # surface a bad REPRO_JOBS before running
-            set_default_batch(args.batch_size)
-            resolve_batch_cap()  # ...and a bad REPRO_BATCH
-            set_default_backend(args.backend)
-            resolve_backend_name()  # ...and a bad REPRO_BACKEND
-            set_default_deadline(args.deadline)
-            resolve_deadline()  # ...and a bad REPRO_DEADLINE
-            resolve_slow_threshold()  # ...and a bad REPRO_SLOW_JOB
+            workers = _worker_count(args.jobs, args.backend)
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    if args.command == "reproduce":
         if args.no_cache:
             configure_default_cache(enabled=False)
-        return _cmd_reproduce(args.artifact, args.repeats, args.seed)
+        return _cmd_reproduce(args.artifact, args.repeats, args.seed, workers)
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "measure":

@@ -104,9 +104,9 @@ def run_sweep(
     """Run every configuration of the sweep; one table row each.
 
     Convenience wrapper over the plan/executor split: equivalent to
-    ``(executor or get_executor()).run(spec.plan(benchmark))``.
+    ``(executor or Executor()).run(spec.plan(benchmark))``.
     """
-    from repro.exec.executor import get_executor
+    from repro.exec.executor import Executor
 
-    runner = executor if executor is not None else get_executor()
+    runner = executor if executor is not None else Executor()
     return runner.run(spec.plan(benchmark))

@@ -8,9 +8,8 @@ carry individually:
   :class:`MeasurementPlan`, and the builders :func:`sweep_plan` /
   :class:`LoopSweepSpec`;
 * **executor** (:mod:`repro.exec.executor`) — one :class:`Executor`
-  over an inline or warm-worker backend, selected by
-  :func:`get_executor` (``--jobs`` / ``--backend``), with identical
-  results guaranteed by per-job seeding;
+  that answers jobs from the cache and runs the rest in order, with
+  identical results guaranteed by per-job seeding;
 * **cache** (:mod:`repro.exec.cache`) — a content-addressed
   in-memory :class:`ResultCache` keyed on (config, benchmark identity,
   seed, code version), so overlapping sweeps share rows instead of
@@ -19,9 +18,9 @@ carry individually:
 Typical use::
 
     from repro.core.sweep import SweepSpec
-    from repro.exec import get_executor
+    from repro.exec import Executor
 
-    table = get_executor(jobs=4).run(SweepSpec(repeats=2).plan())
+    table = Executor().run(SweepSpec(repeats=2).plan())
 """
 
 from repro.exec.cache import (
@@ -32,16 +31,7 @@ from repro.exec.cache import (
     default_cache,
     stable_token,
 )
-from repro.exec.executor import (
-    Executor,
-    ExecutorStats,
-    Job,
-    get_executor,
-    resolve_batch_cap,
-    resolve_jobs,
-    set_default_batch,
-    set_default_jobs,
-)
+from repro.exec.executor import Executor, Job
 from repro.exec.plan import (
     LOOP_SIZES,
     BenchmarkSpec,
@@ -55,7 +45,6 @@ __all__ = [
     "BenchmarkSpec",
     "CacheStats",
     "Executor",
-    "ExecutorStats",
     "Job",
     "LOOP_SIZES",
     "LoopSweepSpec",
@@ -65,11 +54,6 @@ __all__ = [
     "code_version",
     "configure_default_cache",
     "default_cache",
-    "get_executor",
-    "resolve_batch_cap",
-    "resolve_jobs",
-    "set_default_batch",
-    "set_default_jobs",
     "stable_token",
     "sweep_plan",
 ]

@@ -6,16 +6,16 @@ A :class:`MeasurementJob` pins one measurement — a fully seeded
 collection of jobs plus the recipe for turning their results into
 :class:`~repro.analysis.table.ResultTable` rows.
 
-Plans are *data*: they can be enumerated, sliced, concatenated, hashed
-for caching, and shipped to worker processes.  Experiments build plans
+Plans are *data*: they can be enumerated, sliced, concatenated and
+their jobs hashed for caching.  Experiments build plans
 (via :func:`sweep_plan`, :class:`LoopSweepSpec`, or directly) and hand
 them to an :class:`~repro.exec.executor.Executor`; nothing in this
 module runs a machine except :meth:`MeasurementJob.execute`, which the
-executors call.
+executor calls.
 
-Jobs describe their benchmark declaratively so a worker process can
-rebuild it, and so the result cache can address it: a ``BenchmarkSpec``
-is (kind, args), not an object graph.
+Jobs describe their benchmark declaratively so that the result cache
+can address it: a ``BenchmarkSpec`` is (kind, args), not an object
+graph.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ _BUILD_MEMO: dict["BenchmarkSpec", Benchmark] = {}
 class BenchmarkSpec:
     """A benchmark as data: constructor kind plus positional args.
 
-    Specs are hashable and picklable, which is what lets jobs cross
-    process boundaries and address the result cache.
+    Specs are hashable, which is what lets jobs address the result
+    cache.
     """
 
     kind: str = "null"
@@ -223,31 +223,6 @@ class MeasurementPlan:
             self.row(job, result)
             for job, result in zip(self.jobs, results)
         )
-
-    def cache_token(self) -> str:
-        """A content address for the whole plan.
-
-        Built from the member jobs' own cache tokens plus the row
-        recipe, so two independently constructed but identical plans
-        share one address.  Plans with a ``row_builder`` closure fall
-        back to the builder's qualified name (closures cannot be hashed
-        portably).
-        """
-        token = self.__dict__.get("_cache_token")
-        if token is None:
-            builder = (
-                getattr(self.row_builder, "__qualname__", repr(self.row_builder))
-                if self.row_builder is not None
-                else None
-            )
-            token = stable_token(
-                "plan",
-                ",".join(self.result_fields),
-                builder,
-                *(job.cache_token() for job in self.jobs),
-            )
-            object.__setattr__(self, "_cache_token", token)
-        return token
 
     @classmethod
     def concat(cls, plans: Sequence["MeasurementPlan"]) -> "MeasurementPlan":

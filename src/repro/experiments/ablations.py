@@ -19,7 +19,7 @@ from repro.core.benchmarks import LoopBenchmark
 from repro.core.sweep import config_seed
 from repro.cpu.events import Event, PrivFilter
 from repro.cpu.models import microarch
-from repro.exec import get_executor, stable_token
+from repro.exec import Executor, stable_token
 from repro.kernel.calibration import PERFCTR_BUILD, KernelBuildConfig
 from repro.kernel.system import Machine
 from repro.perfctr.libperfctr import LibPerfctr
@@ -82,7 +82,7 @@ def _slope_for_build(
         for size in _SIZES
         for repeat in range(repeats)
     ]
-    errors = get_executor().map(jobs)
+    errors = Executor().map(jobs)
     return fit_line([job.size for job in jobs], errors)
 
 
@@ -177,6 +177,6 @@ def placement_ablation(base_seed: int = 0) -> dict[str, tuple[float, ...]]:
             )
             for offset in range(0, 64 * 16, 16)
         ]
-        cpis = get_executor().map(jobs)
+        cpis = Executor().map(jobs)
         results[label] = tuple(sorted(set(cpis)))
     return results

@@ -8,7 +8,7 @@ from repro.analysis.table import ResultTable
 from repro.core.compiler import OptLevel
 from repro.core.config import Mode, Pattern
 from repro.cpu.events import Event
-from repro.exec import LOOP_SIZES, LoopSweepSpec, get_executor
+from repro.exec import LOOP_SIZES, Executor, LoopSweepSpec
 
 __all__ = ["LOOP_SIZES", "fmt", "loop_error_rows"]
 
@@ -40,7 +40,7 @@ def loop_error_rows(
         primary_event=primary_event,
         base_seed=base_seed,
     )
-    return get_executor().run(spec.plan())
+    return Executor().run(spec.plan())
 
 
 def fmt(value: float, digits: int = 1) -> str:

@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.config import MeasurementConfig, Mode, Pattern
 from repro.core.sweep import config_seed
 from repro.cpu.events import Event
-from repro.exec import BenchmarkSpec, MeasurementJob, MeasurementPlan, get_executor
+from repro.exec import BenchmarkSpec, Executor, MeasurementJob, MeasurementPlan
 from repro.experiments.base import ExperimentResult
 
 STRIDES = (4, 16, 64, 128)
@@ -70,7 +70,7 @@ def run(repeats: int = 5, base_seed: int = 0) -> ExperimentResult:
         for event in (Event.INSTR_RETIRED, Event.DCACHE_MISSES)
         for repeat in range(repeats)
     )
-    table = get_executor().run(MeasurementPlan(jobs=jobs, row_builder=_row))
+    table = Executor().run(MeasurementPlan(jobs=jobs, row_builder=_row))
 
     lines = [
         f"{'stride':>6} {'event':<16} {'expected':>10} "

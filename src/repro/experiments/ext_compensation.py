@@ -15,7 +15,7 @@ import numpy as np
 from repro.core.compensation import calibrate, compensated_error
 from repro.core.config import MeasurementConfig, Mode, Pattern
 from repro.core.sweep import config_seed
-from repro.exec import BenchmarkSpec, MeasurementJob, MeasurementPlan, get_executor
+from repro.exec import BenchmarkSpec, Executor, MeasurementJob, MeasurementPlan
 from repro.experiments.base import ExperimentResult
 
 INFRAS = ("pm", "pc", "PLpm", "PLpc")
@@ -67,7 +67,7 @@ def run(repeats: int = 6, base_seed: int = 0) -> ExperimentResult:
             "residual": compensated_error(result, model),
         }
 
-    table = get_executor().run(
+    table = Executor().run(
         MeasurementPlan(jobs=tuple(jobs), row_builder=_row)
     )
 

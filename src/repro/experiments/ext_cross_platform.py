@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.core.config import MeasurementConfig, Mode, Pattern
 from repro.core.sweep import config_seed
-from repro.exec import BenchmarkSpec, MeasurementJob, MeasurementPlan, get_executor
+from repro.exec import BenchmarkSpec, Executor, MeasurementJob, MeasurementPlan
 from repro.experiments.base import ExperimentResult
 
 PLATFORMS = ("PD", "CD", "K8", "P3")
@@ -52,7 +52,7 @@ def run(base_seed: int = 0) -> ExperimentResult:
         for infra in ("pm", "pc", "PLpm", "PHpm")
         for bench_name, spec in SUITE
     )
-    table = get_executor().run(
+    table = Executor().run(
         MeasurementPlan(
             jobs=jobs, result_fields=("expected", "measured", "error")
         )

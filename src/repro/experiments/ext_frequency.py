@@ -18,7 +18,7 @@ from repro.analysis.table import ResultTable
 from repro.core.benchmarks import StridedLoadBenchmark
 from repro.cpu.events import Event, PrivFilter
 from repro.cpu.frequency import Governor
-from repro.exec import get_executor, stable_token
+from repro.exec import Executor, stable_token
 from repro.experiments.base import ExperimentResult
 from repro.isa.work import WorkVector
 from repro.kernel.system import Machine
@@ -68,7 +68,7 @@ def run(runs: int = 10, base_seed: int = 0) -> ExperimentResult:
         for governor in GOVERNORS
         for index in range(runs)
     ]
-    table = ResultTable.from_rows(get_executor().map(jobs))
+    table = ResultTable.from_rows(Executor().map(jobs))
 
     lines = [f"{'governor':<13} {'mean cycles':>13} {'spread':>8}"]
     summary: dict = {}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.analysis.table import ResultTable
 from repro.cpu.events import Event, PrivFilter
-from repro.exec import BenchmarkSpec, get_executor, stable_token
+from repro.exec import BenchmarkSpec, Executor, stable_token
 from repro.experiments.base import ExperimentResult
 from repro.kernel.system import Machine
 from repro.papi.multiplex import run_multiplexed
@@ -83,7 +83,7 @@ def run(base_seed: int = 0) -> ExperimentResult:
                       seed=base_seed + 11)
         for name, phases, slices in cases
     ]
-    estimates = get_executor().map(jobs)
+    estimates = Executor().map(jobs)
 
     table = ResultTable()
     summary: dict = {}

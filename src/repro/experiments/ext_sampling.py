@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.analysis.table import ResultTable
 from repro.core.benchmarks import LoopBenchmark
 from repro.cpu.events import Event, PrivFilter
-from repro.exec import get_executor, stable_token
+from repro.exec import Executor, stable_token
 from repro.experiments.base import ExperimentResult
 from repro.kernel.system import Machine
 from repro.perfctr.libperfctr import LibPerfctr
@@ -70,7 +70,7 @@ def run(base_seed: int = 0) -> ExperimentResult:
     """Instruction-count error vs sampling period."""
     jobs = [_SamplingJob(period=period, seed=base_seed + 3)
             for period in PERIODS]
-    results = get_executor().map(jobs)
+    results = Executor().map(jobs)
 
     table = ResultTable()
     lines = [

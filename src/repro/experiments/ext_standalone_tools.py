@@ -17,7 +17,7 @@ from repro.core.benchmarks import LoopBenchmark
 from repro.core.config import MeasurementConfig, Mode, Pattern
 from repro.core.measurement import run_measurement
 from repro.core.sweep import config_seed
-from repro.exec import get_executor, stable_token
+from repro.exec import Executor, stable_token
 from repro.experiments.base import ExperimentResult
 from repro.tools.standalone import make_tool
 
@@ -60,7 +60,7 @@ def run(base_seed: int = 0) -> ExperimentResult:
         for tool_name in TOOLS
         for size in SIZES
     ]
-    table = ResultTable.from_rows(get_executor().map(jobs))
+    table = ResultTable.from_rows(Executor().map(jobs))
 
     # The fine-grained harness on the smallest benchmark, for contrast.
     fine_config = MeasurementConfig(

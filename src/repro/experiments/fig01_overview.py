@@ -15,7 +15,7 @@ from repro.analysis.stats import violin_summary
 from repro.core.config import Mode
 from repro.core.compiler import OptLevel
 from repro.core.sweep import SweepSpec
-from repro.exec import get_executor
+from repro.exec import Executor
 from repro.experiments import paper_data
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import fmt
@@ -32,7 +32,7 @@ def run(repeats: int = 3, base_seed: int = 0) -> ExperimentResult:
         repeats=repeats,
         base_seed=base_seed,
     )
-    table = get_executor().run(spec.plan())
+    table = Executor().run(spec.plan())
 
     summary: dict = {"n_measurements": len(table)}
     lines = [f"{len(table)} null-benchmark measurements"]

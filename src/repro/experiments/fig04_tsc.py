@@ -14,7 +14,7 @@ from repro.analysis.stats import box_summary
 from repro.core.config import Mode, Pattern
 from repro.core.compiler import OptLevel
 from repro.core.sweep import SweepSpec
-from repro.exec import get_executor
+from repro.exec import Executor
 from repro.experiments import paper_data
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import fmt
@@ -33,7 +33,7 @@ def run(repeats: int = 10, base_seed: int = 0) -> ExperimentResult:
         repeats=repeats,
         base_seed=base_seed,
     )
-    table = get_executor().run(spec.plan())
+    table = Executor().run(spec.plan())
 
     summary: dict = {}
     lines = [f"{'mode':<12} {'pattern':<4} {'tsc':<4} {'median':>8} {'q3':>8}"]

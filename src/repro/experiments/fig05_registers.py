@@ -19,7 +19,7 @@ from repro.analysis.regression import fit_line
 from repro.core.config import Mode, Pattern
 from repro.core.compiler import OptLevel
 from repro.core.sweep import SweepSpec
-from repro.exec import get_executor
+from repro.exec import Executor
 from repro.experiments import paper_data
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import fmt
@@ -37,7 +37,7 @@ def run(repeats: int = 8, base_seed: int = 0) -> ExperimentResult:
         repeats=repeats,
         base_seed=base_seed,
     )
-    table = get_executor().run(spec.plan())
+    table = Executor().run(spec.plan())
 
     summary: dict = {}
     lines = [

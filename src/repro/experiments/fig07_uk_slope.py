@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.analysis.regression import fit_line
 from repro.analysis.table import ResultTable
 from repro.core.config import INFRASTRUCTURES, Mode
-from repro.exec import LOOP_SIZES, LoopSweepSpec, get_executor
+from repro.exec import LOOP_SIZES, Executor, LoopSweepSpec
 from repro.experiments import paper_data
 from repro.experiments.base import ExperimentResult
 
@@ -35,7 +35,7 @@ def run(
         repeats=repeats,
         base_seed=base_seed,
     )
-    table = get_executor().run(spec.plan())
+    table = Executor().run(spec.plan())
 
     slopes = ResultTable()
     lines = [f"{'infra':<5} " + " ".join(f"{p:>12}" for p in processors)]

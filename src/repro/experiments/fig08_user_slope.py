@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.analysis.regression import fit_line
 from repro.core.config import INFRASTRUCTURES, Mode
-from repro.exec import LOOP_SIZES, LoopSweepSpec, get_executor
+from repro.exec import LOOP_SIZES, Executor, LoopSweepSpec
 from repro.experiments import paper_data
 from repro.experiments.base import ExperimentResult
 
@@ -31,7 +31,7 @@ def run(
         repeats=repeats,
         base_seed=base_seed,
     )
-    table = get_executor().run(spec.plan())
+    table = Executor().run(spec.plan())
 
     summary: dict = {}
     lines = [f"{'infra':<5} " + " ".join(f"{p:>13}" for p in processors)]

@@ -17,7 +17,7 @@ from repro.analysis.regression import fit_line
 from repro.analysis.stats import box_summary
 from repro.core.config import Mode
 from repro.core.compiler import OptLevel
-from repro.exec import LOOP_SIZES, LoopSweepSpec, get_executor
+from repro.exec import LOOP_SIZES, Executor, LoopSweepSpec
 from repro.experiments import paper_data
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import fmt
@@ -38,7 +38,7 @@ def run(
         opt_levels=tuple(OptLevel),
         base_seed=base_seed,
     )
-    table = get_executor().run(spec.plan())
+    table = Executor().run(spec.plan())
 
     lines = [f"{'loop size':>10} {'mean':>9} {'median':>9} {'q3':>9} {'max':>9}"]
     means: dict[int, float] = {}

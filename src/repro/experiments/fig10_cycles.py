@@ -13,7 +13,7 @@ from repro.analysis.table import ResultTable
 from repro.core.config import Mode, Pattern
 from repro.core.compiler import OptLevel
 from repro.cpu.events import Event
-from repro.exec import LoopSweepSpec, MeasurementPlan, get_executor
+from repro.exec import Executor, LoopSweepSpec, MeasurementPlan
 from repro.experiments import paper_data
 from repro.experiments.base import ExperimentResult
 
@@ -56,7 +56,7 @@ def gather_cycles(
     base_seed: int,
 ) -> ResultTable:
     """Measure CYCLES for every pattern × opt (the placement spread)."""
-    return get_executor().run(
+    return Executor().run(
         cycle_plan(processors, infras, sizes, repeats, base_seed)
     )
 

@@ -14,7 +14,7 @@ from repro.analysis.anova import anova_n_way
 from repro.core.config import Mode, Pattern
 from repro.core.compiler import OptLevel
 from repro.core.sweep import SweepSpec
-from repro.exec import get_executor
+from repro.exec import Executor
 from repro.experiments import paper_data
 from repro.experiments.base import ExperimentResult
 
@@ -31,7 +31,7 @@ def run(repeats: int = 4, base_seed: int = 0, alpha: float = 1e-6) -> Experiment
         repeats=repeats,
         base_seed=base_seed,
     )
-    table = get_executor().run(spec.plan())
+    table = Executor().run(spec.plan())
 
     factors = {
         "processor": table.column("processor"),

@@ -22,16 +22,13 @@ draw identical random streams.
 The store is always on and LRU-bounded by ``max_entries``;
 :func:`configure_default_store` replaces it, or turns it off so that
 every boot captures a fresh image (the cold-boot reference).  Hit/miss
-accounting feeds, via the executors,
-:class:`~repro.exec.executor.ExecutorStats`, and ``repro trace``'s
-exact counts.
+accounting feeds ``repro trace``'s exact counts.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.cpu.core import WorkCost
 from repro.cpu.models import MicroArch, microarch
@@ -83,10 +80,10 @@ class KernelChunkSet:
 class BootImage:
     """The seed-independent half of a booted machine.
 
-    Everything here is immutable and picklable, so images can cross the
-    worker-process boundary and live in a bounded store.  The seed-
-    dependent half (RNG, interrupt phases, counters, threads) is built
-    fresh on every boot from the image.
+    Everything here is immutable, so one image can serve every boot of
+    its template from a bounded store.  The seed-dependent half (RNG,
+    interrupt phases, counters, threads) is built fresh on every boot
+    from the image.
 
     The one mutable member is ``cycle_memos``, the straight-line cycle
     memo of every core booted from the image: ``timing``'s cost of each
@@ -166,8 +163,7 @@ class SnapshotStats:
 
 
 #: Process-lifetime aggregate over every store instance, read by
-#: ``repro trace`` and sampled by the executors for
-#: ``ExecutorStats.snapshot_hits``.
+#: ``repro trace``.
 GLOBAL_STATS = SnapshotStats()
 
 
@@ -259,27 +255,3 @@ def boot_image(
         return BootImage.capture(processor, kernel)
     return store.image(processor, kernel)
 
-
-def preload_images(templates: "Iterable[tuple[str, str]]") -> int:
-    """Capture boot images for (processor, kernel) templates up front.
-
-    The warm backend's workers call this when the coordinator registers
-    a plan's templates, so the slow half of every boot is already in the
-    store before the first job arrives.  Returns how many images were
-    newly captured (0 when snapshots are off — preloading a disabled
-    store must not re-enable caching).
-    """
-    store = default_store()
-    if store is None:
-        return 0
-    captured = 0
-    for processor, kernel in templates:
-        before = len(store)
-        store.image(processor, kernel)
-        captured += len(store) - before
-    return captured
-
-
-def snapshot_hits_total() -> int:
-    """Process-lifetime snapshot hits (for executor stats deltas)."""
-    return GLOBAL_STATS.hits

@@ -12,23 +12,24 @@ self time, so the self times plus the time outside every scope (the
 
 Alongside the times the tracer keeps exact counts that repeat from run
 to run of one seed: loop trips, timer ticks and simulated cycles of the
-measured machines, jobs handed to ``Executor.map``, jobs and batches
-dispatched to a backend, and boot-image snapshot hits.  Apart from
-those it reports how many measurements were answered by replaying a
-recorded interrupt-free run (:mod:`repro.core.measurement`): such a
-measurement calls ``run_measurement`` but retires nothing and boots
-nothing.
+measured machines, jobs handed to ``Executor.map``, and boot-image
+snapshot hits.  Apart from those it reports how many measurements were
+answered by replaying a recorded interrupt-free run
+(:mod:`repro.core.measurement`): such a measurement calls
+``run_measurement`` but retires nothing and boots nothing.
 
 Nothing in the program knows it is being observed: only the ``trace``
 command imports this module, and an untraced run executes none of it.
 The boundaries and counts are those of ``perfbench/layers.py``, which
 keeps its own copy of the list so that the benchmark can trace any
 commit, including ones that predate this module; a test pins the two
-copies to each other.
+copies to each other.  That copy still names the execution-backend
+layer this program no longer has, and reports it missing.
 
-Processes forked while a trace runs (the warm backend's workers) get
-the original functions back right after the fork, so only the tracing
-process is measured and the workers run at full speed.
+Processes forked while a trace runs (``reproduce all --jobs N``'s
+artifact workers) get the original functions back right after the
+fork, so only the tracing process is measured and the workers run at
+full speed.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ HOOKS: tuple[tuple[str, str, str], ...] = (
     ("core.run_pattern", "repro.core.patterns", "run_pattern"),
     ("exec.map", "repro.exec.executor", "Executor.map"),
     ("exec.table", "repro.exec.plan", "MeasurementPlan.table"),
-    ("backend.execute", "repro.backend.base", "ExecutionBackend.execute"),
     ("experiments.run_artifact", "repro.experiments", "run_artifact"),
     ("analysis.anova", "repro.analysis.anova", "anova_n_way"),
     ("analysis.stats", "repro.analysis.stats", "box_summary"),
@@ -106,8 +106,6 @@ class ScopeTracer:
             "sim_cycles": 0.0,
             "ticks": 0,
             "map_jobs": 0,
-            "backend_jobs": 0,
-            "backend_batches": 0,
             "snapshot_hits": 0,
             "snapshot_lookups": 0,
         }
@@ -228,8 +226,6 @@ class ScopeTracer:
         if scope == "core.run_measurement":
             return self._timed(scope, fn, before=self._on_measure_start,
                                after=self._on_measure_end)
-        if scope == "backend.execute":
-            return self._timed(scope, fn, after=self._on_dispatch)
         if scope == "exec.map":
             return self._counted_map(self._timed(scope, fn))
         if scope == "experiments.run_artifact":
@@ -320,10 +316,6 @@ class ScopeTracer:
         for machine in self._booted:
             self.counts["sim_cycles"] += machine.core.cycle
         self._booted.clear()
-
-    def _on_dispatch(self, args, kwargs, result, seconds) -> None:
-        self.counts["backend_jobs"] += len(args[1])
-        self.counts["backend_batches"] += result.batches
 
     def _on_artifact(self, args, kwargs, result, seconds) -> None:
         artifact = args[0] if args else kwargs["artifact"]

@@ -8,9 +8,9 @@ only in some orders of jobs, and the goldens check two.  So Hypothesis
 draws sub-plans from the job kinds of ``reproduce all`` — null sweeps
 over every infrastructure, pattern, both modes, the TSC on and off and
 1-4 counters; short loops; the microsuite — with several seeds per
-configuration, shuffles them, and runs them with random batch caps and
-a partly warmed result cache; a few also run on two warm workers, some
-on four threads, and a handful in a subprocess that does nothing else.
+configuration, shuffles them, and runs them with a partly warmed result
+cache; some also run on four threads, and a handful in a subprocess
+that does nothing else.
 Every result must equal the result of the same job run alone on a newly
 built machine with no recordings.
 While a sub-plan runs:
@@ -48,8 +48,6 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from repro.backend import make_backend, warm_available
-from repro.backend.inline import InlineBackend
 from repro.core import measurement
 from repro.core.benchmarks import Benchmark, LoopBenchmark
 from repro.core.compiler import DEFAULT_GCC, OptLevel
@@ -381,15 +379,14 @@ def check_replays(replays) -> None:
         assert wall_s <= recording.horizon_s, job
 
 
-def check(jobs, cap, warmed, evidence, backend=None) -> None:
+def check(jobs, warmed, evidence) -> None:
     """Run ``jobs`` as one plan; each result must be its job's alone."""
     references = [alone(job) for job in jobs]
     cache = ResultCache()
     for job, (result, _), warm in zip(jobs, references, warmed):
         if warm:
             cache.put(job.cache_token(), result)
-    executor = Executor(backend or InlineBackend(), cache=cache,
-                        batch_size=cap)
+    executor = Executor(cache=cache)
     with watched(evidence) as replays:
         results = executor.map(jobs)
     for job, result, (expected, _) in zip(jobs, results, references):
@@ -402,7 +399,7 @@ def check(jobs, cap, warmed, evidence, backend=None) -> None:
     )
 
 
-def independence(witnesses, evidence, examples, shrink=False, backend=None):
+def independence(witnesses, evidence, examples, shrink=False):
     """The property over ``examples`` drawn sub-plans (deterministic)."""
     @settings(
         max_examples=examples, derandomize=True, database=None,
@@ -413,8 +410,7 @@ def independence(witnesses, evidence, examples, shrink=False, backend=None):
     @given(data=st.data())
     def prop(data):
         jobs, warmed = data.draw(sub_plans(witnesses))
-        cap = data.draw(st.integers(1, len(jobs)))
-        check(jobs, cap, warmed, evidence, backend)
+        check(jobs, warmed, evidence)
 
     prop()
 
@@ -430,16 +426,6 @@ def test_every_result_is_its_job_run_alone(witnesses):
     assert evidence["interrupted"] > 0, evidence
 
 
-@pytest.mark.skipif(not warm_available(),
-                    reason="warm backend needs the fork start method")
-def test_on_two_warm_workers(witnesses):
-    backend = make_backend("warm", workers=2)
-    try:
-        independence(witnesses, Counter(), examples=3, backend=backend)
-    finally:
-        backend.shutdown(grace=2.0)
-
-
 def test_on_threads(witnesses):
     """Four threads, more than the host has cores, with a short switch
     interval: each keeps its own resident machines, and the recordings
@@ -453,7 +439,7 @@ def test_on_threads(witnesses):
 
     def run(index, jobs):
         try:
-            results[index] = Executor(InlineBackend(), cache=None).map(jobs)
+            results[index] = Executor(cache=None).map(jobs)
         except BaseException as exc:  # reported from the main thread
             errors.append(exc)
 

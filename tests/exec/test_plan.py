@@ -142,7 +142,7 @@ class TestMeasurementPlan:
         with pytest.raises(ConfigurationError, match="unknown result"):
             MeasurementPlan(jobs=(), result_fields=("bogus",))
 
-    def test_plan_token_is_computed_once_and_frozen(self):
+    def test_plan_is_frozen(self):
         job = MeasurementJob(
             config=MeasurementConfig(
                 processor="CD", infra="pm", pattern=Pattern.START_READ,
@@ -150,11 +150,6 @@ class TestMeasurementPlan:
             ),
         )
         plan = MeasurementPlan(jobs=(job,))
-        first = plan.cache_token()
-        assert plan.cache_token() is first
-        # Equal plans still agree after memoization (the memo is
-        # per-instance, the token content-addressed).
-        assert MeasurementPlan(jobs=(job,)).cache_token() == first
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.jobs = ()
 

@@ -9,10 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.backend import set_default_backend, set_default_deadline
 from repro.cli import main
 from repro.exec import cache as cache_mod
-from repro.exec import set_default_batch, set_default_jobs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -20,15 +18,6 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.fixture(autouse=True)
 def clean_defaults(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_DEADLINE", raising=False)
-    monkeypatch.delenv("REPRO_SLOW_JOB", raising=False)
-    yield
-    set_default_jobs(None)
-    set_default_batch(None)
-    set_default_backend(None)
-    set_default_deadline(None)
 
 
 def expect_error(capsys, argv, message, code=2):
@@ -54,59 +43,12 @@ class TestJobsValidation:
             "error: REPRO_JOBS must be an integer",
         )
 
-    def test_trace_validates_jobs_too(self, capsys):
-        expect_error(
-            capsys, ["trace", "figure4", "--jobs", "0"],
-            "error: jobs must be >= 1, got 0",
-        )
-
-
-class TestBatchSizeValidation:
-    @pytest.mark.parametrize("bad", ["0", "-2"])
-    def test_non_positive_batch_size_exit_2(self, capsys, bad):
-        expect_error(
-            capsys, ["reproduce", "figure4", "--batch-size", bad],
-            f"error: batch size must be >= 1, got {bad}",
-        )
-
-    def test_bad_env_batch_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "many")
-        expect_error(
-            capsys, ["reproduce", "figure4"],
-            "error: REPRO_BATCH must be an integer",
-        )
-
-    def test_trace_validates_batch_size_too(self, capsys):
-        expect_error(
-            capsys, ["trace", "figure4", "--batch-size", "0"],
-            "error: batch size must be >= 1, got 0",
-        )
-
 
 class TestBackendValidation:
     def test_unknown_backend_exit_2(self, capsys):
         expect_error(
             capsys, ["reproduce", "figure4", "--backend", "bogus"],
             "error: unknown backend 'bogus'; known: inline, warm",
-        )
-
-    def test_bad_env_backend_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "turbo")
-        expect_error(
-            capsys, ["reproduce", "figure4"],
-            "error: unknown backend 'turbo'",
-        )
-
-    def test_explicit_backend_shadows_bad_env(self, capsys, monkeypatch):
-        # An explicit --backend must win before the env var is even read.
-        monkeypatch.setenv("REPRO_BACKEND", "turbo")
-        assert main(["reproduce", "figure4", "--backend", "inline"]) == 0
-        capsys.readouterr()
-
-    def test_trace_validates_backend_too(self, capsys):
-        expect_error(
-            capsys, ["trace", "figure4", "--backend", "bogus"],
-            "error: unknown backend 'bogus'",
         )
 
 
@@ -140,17 +82,9 @@ class TestRemovedFleetAndPool:
 
     @pytest.mark.parametrize("argv", [
         ["reproduce", "figure4", "--backend", "pool"],
-        ["trace", "figure4", "--backend", "pool"],
     ])
     def test_pool_backend_flag_exit_2(self, capsys, argv):
         assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.err == self.POOL_ERROR
-        assert captured.out == ""
-
-    def test_pool_backend_env_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "pool")
-        assert main(["reproduce", "figure4"]) == 2
         captured = capsys.readouterr()
         assert captured.err == self.POOL_ERROR
         assert captured.out == ""
@@ -168,13 +102,6 @@ class TestRemovedFleetAndPool:
         err = capsys.readouterr().err
         assert "invalid choice" in err
         assert "Traceback" not in err
-
-    def test_no_fork_falls_back_to_inline(self, monkeypatch):
-        from repro.backend import resolve_backend_name
-        from repro.backend import warm as warm_module
-
-        monkeypatch.setattr(warm_module, "warm_available", lambda: False)
-        assert resolve_backend_name(jobs=4) == "inline"
 
 
 class TestRemovedSpanTree:
@@ -282,31 +209,39 @@ class TestRemovedServiceTier:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestDeadlineValidation:
-    @pytest.mark.parametrize("bad", ["0", "-1.5"])
-    def test_non_positive_deadline_exit_2(self, capsys, bad):
-        expect_error(
-            capsys, ["reproduce", "figure4", "--deadline", bad],
-            "error: deadline must be > 0 seconds",
-        )
+class TestRemovedWarmFleet:
+    """The job-grain worker fleet is gone: its batch and deadline flags,
+    and ``trace``'s worker flags, are refused up front, and its leftover
+    variables change nothing."""
 
-    def test_bad_env_deadline_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_DEADLINE", "soon")
-        # The backend reads the variable only mid-run; the CLI must
-        # resolve it before running anything.
-        err = expect_error(
-            capsys, ["reproduce", "figure4", "--jobs", "2"],
-            "error: REPRO_DEADLINE must be a number of seconds, got 'soon'",
-        )
-        assert err.count("\n") == 1
+    # Each command line is also invalid in a way the command itself
+    # rejects, so a build that accepted the flag again would fail fast
+    # here instead of running an artifact.
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "figure4", "--batch-size", "4", "--repeats", "0"],
+        ["reproduce", "figure4", "--deadline", "1", "--repeats", "0"],
+        ["trace", "figure4", "--jobs", "2", "--repeats", "0"],
+        ["trace", "figure4", "--backend", "warm", "--repeats", "0"],
+    ])
+    def test_flags_are_unrecognized(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[2]}" in err
+        assert "Traceback" not in err
 
-    def test_bad_env_slow_job_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOW_JOB", "-1")
-        err = expect_error(
-            capsys, ["trace", "figure4", "--jobs", "2"],
-            "error: REPRO_SLOW_JOB must be > 0 seconds, got -1.0",
-        )
-        assert err.count("\n") == 1
+    @pytest.mark.parametrize("variable,value", [
+        ("REPRO_BATCH", "many"),
+        ("REPRO_DEADLINE", "soon"),
+        ("REPRO_SLOW_JOB", "-1"),
+        ("REPRO_BACKEND", "pool"),
+    ])
+    def test_stale_env_is_ignored(self, capsys, monkeypatch, variable, value):
+        monkeypatch.setenv(variable, value)
+        assert main(["reproduce", "figure4"]) == 0
+        golden = (GOLDEN / "figure4.txt").read_text()
+        assert capsys.readouterr().out == golden
 
 
 class TestMeasureValidation:

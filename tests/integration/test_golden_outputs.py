@@ -1,9 +1,10 @@
 """Pinned golden outputs: the fast path must not move a single byte.
 
 ``tests/integration/golden/*.txt`` were captured from ``repro
-reproduce`` before the snapshot/batching/memoization fast path landed.
-Serial, parallel, and batched runs must all still reproduce them
-byte-for-byte — the optimization layers are pure plumbing.
+reproduce`` before the snapshot/memoization fast path landed.  Every
+run must still reproduce them byte-for-byte, whatever ``--jobs`` and
+``--backend`` say: the optimization layers are pure plumbing, and one
+artifact always runs in one process.
 
 If a deliberate model change moves these numbers, regenerate the
 goldens with::
@@ -18,22 +19,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.backend import set_default_backend
 from repro.cli import main
-from repro.exec import set_default_batch, set_default_jobs
 
 GOLDEN = Path(__file__).parent / "golden"
 
-#: Every execution backend must reproduce the goldens byte-for-byte.
+#: Every ``--backend`` must reproduce the goldens byte-for-byte.
 BACKENDS = ["inline", "warm"]
-
-
-@pytest.fixture(autouse=True)
-def clean_defaults():
-    yield
-    set_default_jobs(None)
-    set_default_batch(None)
-    set_default_backend(None)
 
 
 def reproduce(capsys, artifact, *flags):
@@ -49,13 +40,6 @@ class TestGoldenFigure9:
     def test_parallel_jobs4_matches_golden(self, capsys):
         golden = (GOLDEN / "figure9.txt").read_text()
         assert reproduce(capsys, "figure9", "--jobs", "4") == golden
-
-    def test_batched_dispatch_matches_golden(self, capsys):
-        golden = (GOLDEN / "figure9.txt").read_text()
-        out = reproduce(
-            capsys, "figure9", "--jobs", "2", "--batch-size", "5"
-        )
-        assert out == golden
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_every_backend_matches_golden(self, capsys, backend):
